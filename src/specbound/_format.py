@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-__all__ = ["format_float", "to_json"]
+__all__ = ["csv_text", "format_cell", "format_float", "to_json"]
 
 
 def format_float(x) -> str:
@@ -18,6 +18,26 @@ def format_float(x) -> str:
     if math.isnan(x) or math.isinf(x):
         return repr(x)
     return f"{x:.12g}"
+
+
+def format_cell(x) -> str:
+    """One CSV cell: empty for None, lowercase booleans, plain integers and
+    strings, every other number through `format_float`."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format_float(x)
+
+
+def csv_text(columns, rows) -> str:
+    """Header line plus one line per row, a dict column -> value, with its
+    cells in `columns` order; a column missing from a row is left empty."""
+    lines = [",".join(columns)]
+    lines += [",".join(format_cell(row.get(c)) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(obj, pieces):

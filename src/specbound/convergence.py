@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import Grid, OperatorMatrix, assemble, build_grid
-from .eigensolve import DEFAULT_SEED, DEFAULT_TOL, Spectrum, smallest_eigenpairs
+from .eigensolve import DEFAULT_TOL, Spectrum, smallest_eigenpairs
 from .geometry import Domain
-from ._format import format_float
+from ._format import csv_text
 
 __all__ = ["ConvergenceStudy", "refine", "DEFAULT_POINT_CAP"]
 
@@ -35,21 +35,18 @@ class ConvergenceStudy:
     error_estimate: float
     extrapolants: np.ndarray
     monotone: bool
-    finest_grid: Grid | None = field(default=None, repr=False)
-    finest_matrix: OperatorMatrix | None = field(default=None, repr=False)
-    finest_spectrum: Spectrum | None = field(default=None, repr=False)
+    finest_grid: Grid = field(repr=False)
+    finest_matrix: OperatorMatrix = field(repr=False)
+    finest_spectrum: Spectrum = field(repr=False)
 
     def to_csv(self) -> str:
         """Rows (h, lambda1, diff, extrapolant); diff and extrapolant are
         empty on the first row."""
-        lines = ["h,lambda1,diff,extrapolant"]
-        for i, (h, lam) in enumerate(zip(self.spacings, self.lambda1_values)):
-            diff = "" if i == 0 else format_float(
-                self.lambda1_values[i] - self.lambda1_values[i - 1]
-            )
-            extrap = "" if i == 0 else format_float(self.extrapolants[i - 1])
-            lines.append(f"{format_float(h)},{format_float(lam)},{diff},{extrap}")
-        return "\n".join(lines) + "\n"
+        lams = self.lambda1_values
+        rows = [{"h": h, "lambda1": lam} for h, lam in zip(self.spacings, lams)]
+        for i in range(1, len(rows)):
+            rows[i].update(diff=lams[i] - lams[i - 1], extrapolant=self.extrapolants[i - 1])
+        return csv_text(("h", "lambda1", "diff", "extrapolant"), rows)
 
 
 def refine(
@@ -57,9 +54,7 @@ def refine(
     h_start: float,
     levels: int,
     tol: float = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
     point_cap: int = DEFAULT_POINT_CAP,
-    keep_finest: bool = True,
 ) -> ConvergenceStudy:
     """Compute lambda1 at h_start, h_start/2, ... and extrapolate to h -> 0.
 
@@ -72,7 +67,6 @@ def refine(
         raise ValueError(f"need at least 3 refinement levels, got {levels}")
     spacings = [h_start / 2**i for i in range(levels)]
     lams = []
-    finest = (None, None, None)
     for h in spacings:
         grid = build_grid(domain, h)
         if grid.point_count > point_cap:
@@ -81,9 +75,8 @@ def refine(
                 f"above the cap {point_cap}"
             )
         matrix = assemble(grid)
-        spectrum = smallest_eigenpairs(matrix, k=1, tol=tol, seed=seed)
+        spectrum = smallest_eigenpairs(matrix, k=1, tol=tol)
         lams.append(float(spectrum.eigenvalues[0]))
-        finest = (grid, matrix, spectrum)
     lams = np.array(lams)
     hs = np.array(spacings)
 
@@ -106,7 +99,7 @@ def refine(
     signs = np.sign(diffs)
     monotone = bool(np.all(signs >= 0) or np.all(signs <= 0))
 
-    grid, matrix, spectrum = finest if keep_finest else (None, None, None)
+    # grid, matrix and spectrum still hold the finest level
     return ConvergenceStudy(
         spacings=hs,
         lambda1_values=lams,

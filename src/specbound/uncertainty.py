@@ -19,16 +19,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ._format import format_float, to_json
-from .discretize import Grid, OperatorMatrix, assemble
-from .eigensolve import WaveField, smallest_eigenpairs
+from ._format import csv_text, format_float, to_json
+from .discretize import Grid, OperatorMatrix
+from .eigensolve import WaveField
+
+# Unused here; kept because the benchmark's tracer (perfbench/spans.py)
+# patches uncertainty.smallest_eigenpairs by name.
+from .eigensolve import smallest_eigenpairs  # noqa: F401
 from .geometry import Domain, DomainMetrics, unit_ball_volume
 from .specfun import first_zero
 
 __all__ = [
+    "BoundCheck",
     "PhysicalConstants",
     "UncertaintyReport",
     "certify_bounds",
@@ -40,6 +46,14 @@ __all__ = [
 
 _NORMALIZATION_TOL = 1e-10
 _IDENTITY_TOL = 1e-8  # slack for the exact-by-construction spectral bound
+
+# key, label, statement of each certified bound, in report order
+_BOUNDS = (
+    ("eq7", "spectral bound", "sigma_p >= sqrt(lambda1)*hbar"),
+    ("eq10", "diameter bound", "sigma_p*d >= 2*j*hbar"),
+    ("kennard", "ensemble bound", "sigma_p*sigma_x >= hbar/2"),
+    ("krahn", "isoperimetric", "lambda1*(|D|/C_n)^(2/n)/j^2 >= 1"),
+)
 
 
 @dataclass(frozen=True)
@@ -124,6 +138,23 @@ def krahn_ratio(lambda1: float, metrics: DomainMetrics, n: int) -> float:
     return lambda1 / bound
 
 
+class BoundCheck(NamedTuple):
+    """The verdict on one bound.  `value` is its relative margin (the bound
+    holds at >= 0) or, for `krahn`, the ratio (holds at >= 1)."""
+
+    key: str
+    label: str
+    statement: str
+    value: float
+    slack: float
+    passed: bool
+    equality: bool
+
+    @property
+    def quantity(self) -> str:
+        return "ratio" if self.key == "krahn" else "margin"
+
+
 @dataclass(frozen=True)
 class UncertaintyReport:
     """All certified quantities for one domain and ground state.
@@ -133,7 +164,7 @@ class UncertaintyReport:
     lambda1 and is zero by construction for the ground state, while the
     diameter-bound margin and `krahn_ratio` are continuum statements using
     the extrapolated lambda1.  `tolerance_band` is five times the relative
-    extrapolation error estimate; equality flags mean |margin| within band.
+    extrapolation error estimate.  `checks()` turns these into verdicts.
     """
 
     domain_spec: dict
@@ -151,22 +182,40 @@ class UncertaintyReport:
     diameter_product: float
     diameter_product_discrete: float
     margins: dict
-    equality_flags: dict
     tolerance_band: float
 
-    def violations(self) -> list:
-        """Bounds violated beyond the tolerance band; empty means PASS."""
+    def checks(self) -> list:
+        """One BoundCheck per bound from the stored margins, ratio and band,
+        recomputed on every call.  The spectral bound, an identity on the
+        discrete spectrum, gets slack `_IDENTITY_TOL`; the continuum bounds
+        get `max(tolerance_band, _IDENTITY_TOL)`.  A bound passes if it holds
+        to within its slack and is an equality if it is met to within it."""
         band = max(self.tolerance_band, _IDENTITY_TOL)
         out = []
-        if self.margins["eq7"] < -_IDENTITY_TOL:
-            out.append(f"spectral bound margin {self.margins['eq7']:.3e}")
-        if self.margins["eq10"] < -band:
-            out.append(f"diameter bound margin {self.margins['eq10']:.3e}")
-        if self.margins["kennard"] < -band:
-            out.append(f"ensemble bound margin {self.margins['kennard']:.3e}")
-        if self.krahn_ratio < 1.0 - band:
-            out.append(f"isoperimetric ratio {self.krahn_ratio:.6f} below 1")
+        for key, label, statement in _BOUNDS:
+            if key == "krahn":
+                value, slack = self.krahn_ratio, band
+                passed = value >= 1.0 - slack
+                equality = abs(value - 1.0) <= slack
+            else:
+                value = self.margins[key]
+                slack = _IDENTITY_TOL if key == "eq7" else band
+                passed = value >= -slack
+                equality = abs(value) <= slack
+            out.append(BoundCheck(key, label, statement, value, slack, passed, equality))
         return out
+
+    @property
+    def equality_flags(self) -> dict:
+        return {c.key: c.equality for c in self.checks()}
+
+    def violations(self) -> list:
+        """Bounds that fail their check; empty means PASS."""
+        return [
+            f"{c.label} {c.quantity} {format_float(c.value)}"
+            for c in self.checks()
+            if not c.passed
+        ]
 
     def to_json_dict(self) -> dict:
         met = self.metrics
@@ -192,51 +241,41 @@ class UncertaintyReport:
             "diameter_product": self.diameter_product,
             "diameter_product_discrete": self.diameter_product_discrete,
             "margins": dict(self.margins),
-            "equality_flags": dict(self.equality_flags),
+            "equality_flags": self.equality_flags,
             "tolerance_band": self.tolerance_band,
         }
 
     def to_json(self) -> str:
         return to_json(self.to_json_dict()) + "\n"
 
-    CSV_HEADER = (
-        "domain_kind,n,hbar,lambda1,lambda1_error,lambda1_discrete,"
-        "sigma_p,sigma_x,mean_p_max,volume,diameter,perimeter,"
-        "krahn_ratio,diameter_product,diameter_product_discrete,"
-        "margin_eq7,margin_eq10,margin_kennard,"
-        "equality_eq7,equality_eq10,equality_kennard,equality_krahn"
-    )
-
-    def to_csv_row(self) -> str:
+    def csv_cells(self) -> dict:
+        """The report's CSV columns, in order, mapped to their values."""
         met = self.metrics
-        cells = [
-            self.domain_spec.get("kind", ""),
-            str(self.n),
-            format_float(self.hbar),
-            format_float(self.lambda1),
-            format_float(self.lambda1_error),
-            format_float(self.lambda1_discrete),
-            format_float(self.sigma_p),
-            format_float(self.sigma_x),
-            format_float(float(np.max(np.abs(self.mean_p)))),
-            format_float(met.volume),
-            format_float(met.diameter),
-            format_float(met.perimeter),
-            format_float(self.krahn_ratio),
-            format_float(self.diameter_product),
-            format_float(self.diameter_product_discrete),
-            format_float(self.margins["eq7"]),
-            format_float(self.margins["eq10"]),
-            format_float(self.margins["kennard"]),
-            str(bool(self.equality_flags["eq7"])).lower(),
-            str(bool(self.equality_flags["eq10"])).lower(),
-            str(bool(self.equality_flags["kennard"])).lower(),
-            str(bool(self.equality_flags["krahn"])).lower(),
-        ]
-        return ",".join(cells)
+        return {
+            "domain_kind": self.domain_spec.get("kind", ""),
+            "n": self.n,
+            "hbar": self.hbar,
+            "lambda1": self.lambda1,
+            "lambda1_error": self.lambda1_error,
+            "lambda1_discrete": self.lambda1_discrete,
+            "sigma_p": self.sigma_p,
+            "sigma_x": self.sigma_x,
+            "mean_p_max": np.max(np.abs(self.mean_p)),
+            "volume": met.volume,
+            "diameter": met.diameter,
+            "perimeter": met.perimeter,
+            "krahn_ratio": self.krahn_ratio,
+            "diameter_product": self.diameter_product,
+            "diameter_product_discrete": self.diameter_product_discrete,
+            "margin_eq7": self.margins["eq7"],
+            "margin_eq10": self.margins["eq10"],
+            "margin_kennard": self.margins["kennard"],
+            **{f"equality_{c.key}": c.equality for c in self.checks()},
+        }
 
     def to_csv(self) -> str:
-        return self.CSV_HEADER + "\n" + self.to_csv_row() + "\n"
+        cells = self.csv_cells()
+        return csv_text(cells, [cells])
 
 
 def certify_bounds(
@@ -245,25 +284,20 @@ def certify_bounds(
     lambda1_error: float,
     field: WaveField,
     consts: PhysicalConstants = PhysicalConstants(),
-    matrix: OperatorMatrix | None = None,
-    lambda1_discrete: float | None = None,
+    *,
+    matrix: OperatorMatrix,
+    lambda1_discrete: float,
 ) -> UncertaintyReport:
     """Populate an UncertaintyReport for a domain and its ground state.
 
     `lambda1` is the extrapolated continuum estimate with absolute error
     `lambda1_error`; `field` is the normalized ground state on the finest
-    grid.  `matrix` and `lambda1_discrete` are recomputed from the field's
-    grid when not supplied.
+    grid, `matrix` that grid's operator and `lambda1_discrete` its smallest
+    eigenvalue, both as the caller's refinement study computed them.
     """
     _require_normalized(field)
     grid = field.grid
     n = grid.dim
-    if matrix is None:
-        matrix = assemble(grid)
-    if lambda1_discrete is None:
-        lambda1_discrete = float(
-            smallest_eigenpairs(matrix, k=1).eigenvalues[0]
-        )
     metrics = domain.metrics()
     zero = first_zero(n / 2.0 - 1.0)
 
@@ -284,13 +318,6 @@ def certify_bounds(
         "kennard": sigma_p * sigma_x / (consts.hbar / 2.0) - 1.0,
     }
     ratio = krahn_ratio(lambda1, metrics, n)
-    equality_band = max(band, 1e-9)
-    equality_flags = {
-        "eq7": abs(margins["eq7"]) <= _IDENTITY_TOL,
-        "eq10": abs(margins["eq10"]) <= equality_band,
-        "kennard": abs(margins["kennard"]) <= equality_band,
-        "krahn": abs(ratio - 1.0) <= equality_band,
-    }
 
     return UncertaintyReport(
         domain_spec=domain.to_spec(),
@@ -308,6 +335,5 @@ def certify_bounds(
         diameter_product=diameter_product,
         diameter_product_discrete=diameter_product_discrete,
         margins=margins,
-        equality_flags=equality_flags,
         tolerance_band=band,
     )

@@ -138,24 +138,56 @@ class TestCertify:
         assert r2["sigma_p"] == pytest.approx(2.0 * r1["sigma_p"], rel=1e-10)
         assert r2["margins"] == r1["margins"]
 
-    def test_bound_violation_exit_code(self, capsys, monkeypatch):
+    # (forced key, value as a function of slack = max(band, 1e-8), passes)
+    @pytest.mark.parametrize(
+        "key, forced, passes",
+        [
+            ("eq10", lambda slack: -0.5, False),
+            ("eq7", lambda slack: -1e-6, False),
+            ("eq7", lambda slack: -1e-9, True),
+            ("eq10", lambda slack: -slack / 2, True),
+            ("eq10", lambda slack: -2 * slack, False),
+            ("krahn", lambda slack: 1.0 - slack / 2, True),
+            ("krahn", lambda slack: 1.0 - 2 * slack, False),
+        ],
+        ids=[
+            "eq10-half",
+            "eq7-1e-6",
+            "eq7-1e-9",
+            "eq10-half-slack",
+            "eq10-twice-slack",
+            "krahn-half-slack",
+            "krahn-twice-slack",
+        ],
+    )
+    def test_bound_violation_exit_code(self, capsys, monkeypatch, key, forced, passes):
         # honest runs cannot violate the bounds, so force a bad report
-        # through the pipeline seam to pin the exit-code contract
+        # through the pipeline seam to pin the exit-code contract: every
+        # printed PASS/FAIL word, the checks() table and the exit code agree
         import specbound.cli as cli_module
 
         real_pipeline = cli_module.certify_pipeline
+        reports = []
 
         def broken_pipeline(*args, **kwargs):
             study, report = real_pipeline(*args, **kwargs)
-            bad_margins = dict(report.margins)
-            bad_margins["eq10"] = -0.5
-            object.__setattr__(report, "margins", bad_margins)
+            value = forced(max(report.tolerance_band, 1e-8))
+            if key == "krahn":
+                object.__setattr__(report, "krahn_ratio", value)
+            else:
+                object.__setattr__(report, "margins", {**report.margins, key: value})
+            reports.append(report)
             return study, report
 
         monkeypatch.setattr(cli_module, "certify_pipeline", broken_pipeline)
         code, _, err = run(capsys, "certify", "--domain", INTERVAL, "--levels", "3")
-        assert code == 1
-        assert "FAIL" in err
+        checks = reports[0].checks()
+        # only the forced bound can fail, and it fails exactly when expected
+        assert [c.passed for c in checks] == [passes or c.key != key for c in checks]
+        printed = [w for line in err.splitlines() for w in line.split() if w in ("PASS", "FAIL")]
+        assert printed == ["PASS" if c.passed else "FAIL" for c in checks]
+        assert code == (0 if all(c.passed for c in checks) else 1)
+        assert ("certification PASSED" in err) == passes
 
     def test_invalid_levels_is_input_error(self, capsys):
         code, _, err = run(
@@ -305,6 +337,23 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[1].split(",")[-1] == "ok"
         assert lines[2].split(",")[-1].startswith("error:")
+        assert len(lines[2].split(",")) == len(lines[0].split(","))
+
+    def test_shared_columns_match_report_csv(self, capsys):
+        flags = ("--h-start", "0.25", "--levels", "3")
+        code, out, _ = run(
+            capsys, "sweep", "--family", "rectangle-aspect", "--values", "2", *flags
+        )
+        assert code == 0
+        sweep = dict(zip(*(line.split(",") for line in out.strip().split("\n"))))
+        rect = '{"kind":"box","dim":2,"params":{"bounds":[[0,2],[0,1]]}}'
+        code, out, _ = run(capsys, "certify", "--domain", rect, "--format", "csv", *flags)
+        assert code == 0
+        report = dict(zip(*(line.split(",") for line in out.strip().split("\n"))))
+        report["kind"] = report.pop("domain_kind")
+        shared = [c for c in sweep if c in report]  # kind ... margin_kennard
+        assert len(shared) == 12
+        assert {c: sweep[c] for c in shared} == {c: report[c] for c in shared}
 
     def test_sweep_to_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"

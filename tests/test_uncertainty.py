@@ -220,9 +220,9 @@ class TestCertifyBounds:
         assert payload["domain"]["kind"] == "interval"
 
     def test_csv_row_matches_header(self, interval_report):
-        header = interval_report.CSV_HEADER.split(",")
-        row = interval_report.to_csv_row().split(",")
-        assert len(header) == len(row)
+        header, row = interval_report.to_csv().rstrip("\n").split("\n")
+        assert header.startswith("domain_kind,n,hbar,lambda1")
+        assert len(header.split(",")) == len(row.split(",")) == 22
 
     def test_serialization_deterministic(self, interval_report):
         assert interval_report.to_json() == interval_report.to_json()
