@@ -8,18 +8,26 @@ order, and the error estimate is the gap between the last two extrapolants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import Grid, OperatorMatrix, assemble, build_grid
+from .discretize import (
+    Grid,
+    OperatorMatrix,
+    _lattice_shape,
+    _prolong,
+    assemble,
+    build_grid,
+)
 from .eigensolve import DEFAULT_TOL, Spectrum, smallest_eigenpairs
 from .geometry import Domain
 from ._format import csv_text
 
 __all__ = ["ConvergenceStudy", "refine", "DEFAULT_POINT_CAP"]
 
-DEFAULT_POINT_CAP = 20_000_000  # interior points per level; desk-scale guard
+DEFAULT_POINT_CAP = 20_000_000  # lattice points per level, as build_grid allocates them
 
 _ORDER_RANGE = (0.05, 10.0)  # clamp for fits degraded by pre-asymptotic noise
 
@@ -58,24 +66,35 @@ def refine(
 ) -> ConvergenceStudy:
     """Compute lambda1 at h_start, h_start/2, ... and extrapolate to h -> 0.
 
+    Level 0 starts the eigensolve from the seeded random vector; each finer
+    level starts from the coarser level's ground state, interpolated onto
+    its lattice (nested iteration).
+
     Raises GridError/SolverConvergenceError if a level cannot be built or
-    solved, and ValueError when a level would exceed `point_cap` interior
-    points.  A non-monotone lambda1 sequence is reported via the study's
-    `monotone` flag, not raised.
+    solved, and ValueError when a level's bounding-box lattice, which
+    build_grid allocates in full, would exceed `point_cap` points.  Every
+    level is checked before the first one is built.  A non-monotone lambda1
+    sequence is reported via the study's `monotone` flag, not raised.
     """
     if levels < 3:
         raise ValueError(f"need at least 3 refinement levels, got {levels}")
     spacings = [h_start / 2**i for i in range(levels)]
-    lams = []
     for h in spacings:
-        grid = build_grid(domain, h)
-        if grid.point_count > point_cap:
+        lattice = math.prod(_lattice_shape(domain, h))
+        if lattice > point_cap:
             raise ValueError(
-                f"level h={h} has {grid.point_count} interior points, "
-                f"above the cap {point_cap}"
+                f"level h={h} has {lattice} lattice points, above the cap {point_cap}"
             )
+    lams = []
+    grid = v0 = None
+    for h in spacings:
+        coarse, grid = grid, build_grid(domain, h)
         matrix = assemble(grid)
-        spectrum = smallest_eigenpairs(matrix, k=1, tol=tol)
+        # prolonged after assembly, whose transient storage is the level's
+        # memory peak, so that the start vector does not add to it
+        if coarse is not None:
+            v0 = _prolong(coarse, spectrum.eigenvectors[:, 0], grid)
+        spectrum = smallest_eigenpairs(matrix, k=1, tol=tol, v0=v0)
         lams.append(float(spectrum.eigenvalues[0]))
     lams = np.array(lams)
     hs = np.array(spacings)

@@ -93,13 +93,9 @@ class OperatorMatrix:
         return "\n".join(lines) + "\n"
 
 
-def build_grid(domain: Domain, h: float) -> Grid:
-    """Lay a lattice of spacing h over the bounding box and keep the points
-    strictly inside the domain.
-
-    Raises GridError when h is nonpositive, too coarse relative to the
-    bounding box, or leaves no interior point.
-    """
+def _lattice_shape(domain: Domain, h: float) -> tuple:
+    """Points per axis of the spacing-h lattice over the bounding box,
+    without allocating it; raises GridError as documented in build_grid."""
     if not h > 0:
         raise GridError(f"spacing must be positive, got {h}")
     box = domain.bounding_box
@@ -109,8 +105,44 @@ def build_grid(domain: Domain, h: float) -> Grid:
             f"spacing {h} must be below half the shortest bounding-box edge "
             f"({float(edges.min()) / 2.0})"
         )
-    origin = box[:, 0].copy()
-    shape = tuple(int(np.floor(e / h + 1e-9)) + 1 for e in edges)
+    # python floats, unlike numpy scalars, overflow to inf without a warning
+    counts = [float(e) / h for e in edges]
+    if not np.all(np.isfinite(counts)):
+        raise GridError(f"spacing {h} is too small to count lattice points")
+    return tuple(int(np.floor(c + 1e-9)) + 1 for c in counts)
+
+
+def _prolong(coarse: Grid, values: np.ndarray, fine: Grid) -> np.ndarray:
+    """Interpolate a field on the interior points of `coarse` onto those of
+    `fine`, the same domain at half the spacing.
+
+    Both lattices start at the bounding-box corner, so fine index m sits at
+    coarse index m/2 on every axis.  Omitted coarse points count as zero
+    (the Dirichlet value).  Where the spacing does not divide a box edge,
+    the last fine index can lie past the coarse lattice; it is clipped to
+    the last coarse index.
+    """
+    box = np.zeros(coarse.shape)
+    box.flat[coarse.interior_flat] = values
+    for axis, n in enumerate(fine.shape):
+        m = np.arange(n)
+        last = coarse.shape[axis] - 1
+        lo = np.minimum(m // 2, last)
+        hi = np.minimum((m + 1) // 2, last)
+        box = 0.5 * (np.take(box, lo, axis=axis) + np.take(box, hi, axis=axis))
+    return box.ravel()[fine.interior_flat]
+
+
+def build_grid(domain: Domain, h: float) -> Grid:
+    """Lay a lattice of spacing h over the bounding box and keep the points
+    strictly inside the domain.
+
+    Raises GridError when h is nonpositive, too coarse relative to the
+    bounding box, so small that the lattice size overflows, or leaves no
+    interior point.
+    """
+    shape = _lattice_shape(domain, h)
+    origin = domain.bounding_box[:, 0].copy()
     axes = [origin[a] + np.arange(shape[a]) * h for a in range(domain.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)

@@ -3,7 +3,9 @@
 The solver is factorization-free: inverse power iteration with deflation
 against already-converged eigenvectors, using a matrix-free conjugate
 gradient inner solve.  Starting vectors come from a fixed, documented seed
-so that iteration counts and returned vectors are reproducible.
+unless the caller passes `v0`; a refinement study seeds only its coarsest
+level and starts each finer one from the interpolated coarser ground state,
+so iteration counts and returned vectors are reproducible either way.
 """
 
 from __future__ import annotations

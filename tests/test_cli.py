@@ -196,6 +196,13 @@ class TestCertify:
         assert code == 2
         assert "levels" in err
 
+    def test_oversized_study_fails_before_allocating(self, capsys):
+        # level 0 alone would be a 200001 x 200001 lattice
+        code, out, err = run(capsys, "certify", "--domain", DISK, "--h-start", "1e-5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "cap" in err
+
     def test_byte_identical_artifacts_across_runs(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:

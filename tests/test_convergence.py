@@ -3,8 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from specbound import Ball, Box, Interval, refine
+from specbound import (
+    Ball,
+    Box,
+    Interval,
+    Polygon,
+    assemble,
+    build_grid,
+    refine,
+    smallest_eigenpairs,
+)
+from specbound import convergence
+from specbound.eigensolve import DEFAULT_TOL
 
+from conftest import L_VERTICES
 from test_discretize import interval_eigenvalues
 
 
@@ -60,6 +72,18 @@ class TestRefineDisk:
         assert disk_study.error_estimate >= 0.0
 
 
+@pytest.mark.parametrize(
+    "domain", [Ball([0.0, 0.0], 1.0), Polygon(L_VERTICES)], ids=["disk", "l-shape"]
+)
+def test_warm_start_keeps_each_level(domain):
+    study = refine(domain, 1.0 / 8, 3)
+    for h, lam in zip(study.spacings, study.lambda1_values):
+        cold = smallest_eigenpairs(assemble(build_grid(domain, h)), k=1)
+        assert lam == pytest.approx(cold.eigenvalues[0], rel=1e-12)
+    finest = study.finest_spectrum
+    assert finest.residuals[0] <= DEFAULT_TOL * finest.eigenvalues[0]
+
+
 class TestStudyShape:
     def test_spacings_strictly_decreasing(self):
         study = refine(Interval(0.0, 1.0), 1.0 / 8, 4)
@@ -73,6 +97,15 @@ class TestStudyShape:
     def test_point_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
             refine(Interval(0.0, 1.0), 1.0 / 8, 4, point_cap=20)
+
+    def test_point_cap_checked_before_any_level_is_built(self, monkeypatch):
+        def forbidden(domain, h):
+            raise AssertionError(f"build_grid called at h={h}")
+
+        monkeypatch.setattr(convergence, "build_grid", forbidden)
+        # lattices of 9, 17, 33, 65 points: only the finest is over the cap
+        with pytest.raises(ValueError, match="cap"):
+            refine(Interval(0.0, 1.0), 1.0 / 8, 4, point_cap=64)
 
     def test_finest_level_artifacts_kept(self):
         study = refine(Interval(0.0, 1.0), 1.0 / 8, 3)
@@ -93,7 +126,8 @@ class TestStudyShape:
         assert float(last[3]) == pytest.approx(study.extrapolated)
 
     def test_deterministic_repeat(self):
-        a = refine(Interval(0.0, 1.0), 1.0 / 8, 3)
-        b = refine(Interval(0.0, 1.0), 1.0 / 8, 3)
-        assert a.to_csv() == b.to_csv()
-        assert np.array_equal(a.lambda1_values, b.lambda1_values)
+        for domain in (Interval(0.0, 1.0), Ball([0.0, 0.0], 1.0)):
+            a = refine(domain, 1.0 / 8, 3)
+            b = refine(domain, 1.0 / 8, 3)
+            assert a.to_csv() == b.to_csv()
+            assert np.array_equal(a.lambda1_values, b.lambda1_values)

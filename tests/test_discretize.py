@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from specbound import (
+    Box,
     GridError,
     RasterMask,
     assemble,
     build_grid,
 )
+from specbound.discretize import _prolong
 
 
 def interval_eigenvalues(n_points, h):
@@ -60,6 +62,11 @@ class TestBuildGrid:
             build_grid(unit_interval, 0.0)
         with pytest.raises(GridError):
             build_grid(unit_interval, -0.1)
+
+    def test_underflowing_spacing_rejected(self, unit_interval):
+        # 1 / 5e-324 is inf: no lattice size to predict or allocate
+        with pytest.raises(GridError, match="too small"):
+            build_grid(unit_interval, 5e-324)
 
     def test_too_coarse_spacing_rejected(self, unit_interval):
         with pytest.raises(GridError):
@@ -153,6 +160,54 @@ class TestAssemble:
         matrix = assemble(grid)
         diag = matrix.matrix.diagonal()
         assert np.all(diag == 2.0 * 3 / 0.25**2)
+
+
+def lattice_indices(grid):
+    """Lattice multi-indices of the interior points, shape (N, dim)."""
+    return np.array(np.unravel_index(grid.interior_flat, grid.shape)).T
+
+
+class TestProlong:
+    @pytest.mark.parametrize(
+        "domain",
+        [Box([[0.0, 2.0], [0.0, 1.0]]), Box([[0.0, 1.0], [0.0, 1.0], [0.0, 0.5]])],
+        ids=["2d", "3d"],
+    )
+    def test_multilinear_field_exact_away_from_boundary(self, domain):
+        coarse = build_grid(domain, 0.125)
+        fine = build_grid(domain, 0.0625)
+
+        def field(idx):
+            # affine plus cross terms: multilinear in lattice coordinates
+            cross = 0.5 * np.prod(idx, axis=1) + idx[:, 0] * idx[:, -1]
+            return 1.0 + idx.sum(axis=1) + cross
+
+        out = _prolong(coarse, field(lattice_indices(coarse).astype(float)), fine)
+        m = lattice_indices(fine)
+        # both coarse neighbours interior on every axis: 1 <= m//2, (m+1)//2 <= shape-2
+        away = np.all((m >= 2) & (m <= 2 * (np.array(coarse.shape) - 2)), axis=1)
+        assert away.sum() > 0
+        assert np.allclose(out[away], field(m[away] / 2.0), rtol=1e-14, atol=0.0)
+
+    def test_coincident_points_keep_coarse_value(self, unit_disk):
+        coarse = build_grid(unit_disk, 0.125)
+        fine = build_grid(unit_disk, 0.0625)
+        values = np.random.default_rng(5).standard_normal(coarse.point_count)
+        out = _prolong(coarse, values, fine)
+        m = lattice_indices(fine)
+        even = np.all(m % 2 == 0, axis=1)
+        flat = np.ravel_multi_index(tuple((m[even] // 2).T), coarse.shape)
+        assert even.sum() > 0
+        assert np.all(coarse.index_of[flat] >= 0)
+        assert np.array_equal(out[even], values[coarse.index_of[flat]])
+
+    def test_non_dividing_spacing(self, unit_ball3):
+        coarse = build_grid(unit_ball3, 0.3)
+        fine = build_grid(unit_ball3, 0.15)
+        assert coarse.shape == (7, 7, 7) and fine.shape == (14, 14, 14)
+        out = _prolong(coarse, np.ones(coarse.point_count), fine)
+        assert out.shape == (fine.point_count,)
+        assert np.all(np.isfinite(out))
 
 
 class TestCoordinateDump:

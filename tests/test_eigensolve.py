@@ -17,6 +17,8 @@ from specbound import (
     smallest_eigenpairs,
 )
 
+from specbound.discretize import _prolong
+
 from conftest import L_VERTICES
 
 
@@ -117,6 +119,16 @@ class TestSmallestEigenpairs:
         s2 = smallest_eigenpairs(matrix, k=2, seed=123)
         assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
         assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
+
+    def test_prolonged_start_matches_seeded_start(self, unit_disk):
+        coarse = build_grid(unit_disk, 0.125)
+        fine = build_grid(unit_disk, 0.0625)
+        ground = smallest_eigenpairs(assemble(coarse), k=1).eigenvectors[:, 0]
+        matrix = assemble(fine)
+        warm = smallest_eigenpairs(matrix, k=1, v0=_prolong(coarse, ground, fine))
+        cold = smallest_eigenpairs(matrix, k=1)
+        assert warm.eigenvalues[0] == pytest.approx(cold.eigenvalues[0], rel=1e-12)
+        assert warm.residuals[0] <= 1e-10 * warm.eigenvalues[0]
 
     def test_k_out_of_range(self, unit_interval):
         matrix = assemble(build_grid(unit_interval, 0.25))
