@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -264,6 +265,9 @@ def _parse_values(text, default):
         raise DomainError(f"cannot parse --values list: {text!r}") from None
     if not values:
         raise DomainError("--values is empty")
+    for v in values:
+        if not 0 < v < math.inf:
+            raise DomainError(f"--values must be positive and finite, got {v}")
     return values
 
 

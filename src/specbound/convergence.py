@@ -66,9 +66,9 @@ def refine(
 ) -> ConvergenceStudy:
     """Compute lambda1 at h_start, h_start/2, ... and extrapolate to h -> 0.
 
-    Level 0 starts the eigensolve from the seeded random vector; each finer
-    level starts from the coarser level's ground state, interpolated onto
-    its lattice (nested iteration).
+    Level 0 starts the eigensolve from the solver's default, the constant
+    vector; each finer level starts from the coarser level's ground state,
+    interpolated onto its lattice (nested iteration).
 
     Raises GridError/SolverConvergenceError if a level cannot be built or
     solved, and ValueError when a level's bounding-box lattice, which

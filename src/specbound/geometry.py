@@ -624,8 +624,16 @@ def domain_from_spec(spec: dict) -> Domain:
             )
     except KeyError as exc:
         raise DomainError(f"domain spec params are missing field {exc}") from None
+    except DomainError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"malformed {kind} params: {exc}") from None
     declared = spec.get("dim")
-    if declared is not None and int(declared) != domain.dim:
+    try:
+        mismatch = declared is not None and int(declared) != domain.dim
+    except (TypeError, ValueError):
+        mismatch = True
+    if mismatch:
         raise DomainError(
             f"declared dim {declared} does not match shape dim {domain.dim}"
         )

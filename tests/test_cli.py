@@ -261,6 +261,24 @@ class TestDumpSpec:
         assert payload["kind"] == "interval"
         assert payload["params"] == {"a": 0.0, "b": 1.0}
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"kind":"interval","dim":1,"params":{"a":null,"b":1}}',
+            '{"kind":"ball","dim":2,"params":{"center":[0,0],"radius":"1"}}',
+            '{"kind":"raster-mask","dim":2,"params":{"mask":[[1,1],[1,0]],"cell_size":"x"}}',
+            '{"kind":"raster-mask","dim":2,"params":{"mask":[[1,1],[1]],"cell_size":0.5}}',
+            '{"kind":"box","dim":"x","params":{"bounds":[[0,1],[0,1]]}}',
+        ],
+        ids=["null-endpoint", "string-radius", "string-cell-size", "ragged-mask", "string-dim"],
+    )
+    def test_malformed_values_are_input_errors(self, capsys, spec):
+        code, out, err = run(capsys, "dump-spec", "--domain", spec)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestSweep:
     def test_rectangle_aspects_monotone_krahn(self, capsys):
@@ -306,6 +324,14 @@ class TestSweep:
         ratio = float(row[lines[0].split(",").index("krahn_ratio")])
         assert ratio == pytest.approx(1.0, abs=2e-2)
 
+    @pytest.mark.parametrize("family", ["rectangle-aspect", "ellipse-aspect"])
+    def test_nonpositive_or_nonfinite_values_are_input_errors(self, capsys, family):
+        for values in ("-1", "0", "nan", "inf", "1,-2"):
+            code, out, err = run(capsys, "sweep", "--family", family, f"--values={values}")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: --values")
+
     def test_empty_mask_batch(self, capsys, tmp_path):
         empty = tmp_path / "masks"
         empty.mkdir()
@@ -327,6 +353,11 @@ class TestSweep:
         }
         (masks / "a_good.json").write_text(json.dumps(good))
         (masks / "b_bad.json").write_text('{"kind":"raster-mask","params":{}}')
+        bad_cell = dict(good, params=dict(good["params"], cell_size="x"))
+        (masks / "c_bad_cell.json").write_text(json.dumps(bad_cell))
+        ragged = dict(good, params=dict(good["params"], mask=[[1, 1], [1]]))
+        (masks / "d_ragged.json").write_text(json.dumps(ragged))
+        (masks / "e_good.json").write_text(json.dumps(good))
         code, out, _ = run(
             capsys,
             "sweep",
@@ -341,10 +372,12 @@ class TestSweep:
         )
         assert code == 0
         lines = out.strip().split("\n")
-        assert len(lines) == 3
-        assert lines[1].split(",")[-1] == "ok"
-        assert lines[2].split(",")[-1].startswith("error:")
-        assert len(lines[2].split(",")) == len(lines[0].split(","))
+        assert len(lines) == 6
+        rows = {row[1]: row for row in (line.split(",") for line in lines[1:])}
+        assert rows["a_good"][-1] == rows["e_good"][-1] == "ok"
+        for name in ("b_bad", "c_bad_cell", "d_ragged"):
+            assert rows[name][-1].startswith("error:")
+            assert len(rows[name]) == len(lines[0].split(","))
 
     def test_shared_columns_match_report_csv(self, capsys):
         flags = ("--h-start", "0.25", "--levels", "3")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -137,11 +138,53 @@ class TestSmallestEigenpairs:
         with pytest.raises(ValueError):
             smallest_eigenpairs(matrix, k=4)
 
+    def test_zero_or_nonfinite_start_rejected(self, unit_interval):
+        matrix = assemble(build_grid(unit_interval, 0.25))
+        for v0 in (np.zeros(3), np.array([1.0, np.nan, 1.0])):
+            with pytest.raises(ValueError):
+                smallest_eigenpairs(matrix, k=1, v0=v0)
+
     def test_nonconvergence_reports_best_residual(self, unit_interval):
-        matrix = assemble(build_grid(unit_interval, 0.125))
+        h = 0.125
+        matrix = assemble(build_grid(unit_interval, h))
         with pytest.raises(SolverConvergenceError) as info:
             smallest_eigenpairs(matrix, k=1, tol=1e-30)
-        assert info.value.best_residual > 0.0
+        lam = (4.0 / h**2) * math.sin(math.pi * h / 2.0) ** 2
+        assert 0.0 < info.value.best_residual <= 1e-8 * lam
+        message = str(info.value)
+        assert "iterations" in message and "matvecs" in message
+        assert f"{info.value.best_residual:.3e}" in message
+
+    def test_cold_start_on_fine_1d_lattice(self, unit_interval):
+        # the slowest case for an unpreconditioned solver: its iteration
+        # count grows like 1/h, about 2.4 N on this cold 1-D lattice
+        h = 1.0 / 2048
+        matrix = assemble(build_grid(unit_interval, h))
+        spectrum = smallest_eigenpairs(matrix, k=1)
+        lam = spectrum.eigenvalues[0]
+        assert lam == pytest.approx((4.0 / h**2) * math.sin(math.pi * h / 2.0) ** 2, rel=1e-11)
+        assert spectrum.residuals[0] <= 1e-10 * lam
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_uses_matrix_only_through_matmul(self, unit_disk, k):
+        # the benchmark's tracer substitutes a proxy that counts `@`
+        class MatmulOnly:
+            __slots__ = ("shape", "_matrix")
+
+            def __init__(self, matrix):
+                self.shape = matrix.shape
+                self._matrix = matrix
+
+            def __matmul__(self, other):
+                return self._matrix @ other
+
+        matrix = assemble(build_grid(unit_disk, 0.125))
+        wrapped = dataclasses.replace(matrix, matrix=MatmulOnly(matrix.matrix))
+        plain = smallest_eigenpairs(matrix, k=k)
+        proxied = smallest_eigenpairs(wrapped, k=k)
+        for name in ("eigenvalues", "eigenvectors", "residuals"):
+            assert np.array_equal(getattr(plain, name), getattr(proxied, name))
+        assert plain.inner_product_weight == proxied.inner_product_weight
 
     def test_monotone_under_domain_restriction(self):
         # nested rasters at the same spacing: shrinking the domain can only
