@@ -26,7 +26,6 @@ from .geometry import (
 )
 from .specfun import BesselZero, bessel_j, first_zero
 from .uncertainty import (
-    PhysicalConstants,
     UncertaintyReport,
     certify_bounds,
     krahn_ratio,
@@ -51,7 +50,6 @@ __all__ = [
     "GridError",
     "Interval",
     "OperatorMatrix",
-    "PhysicalConstants",
     "Polygon",
     "RasterMask",
     "SolverConvergenceError",

@@ -33,9 +33,9 @@ from .geometry import (
     domain_from_spec,
 )
 from .specfun import first_zero
-from .uncertainty import PhysicalConstants, UncertaintyReport, certify_bounds
+from .uncertainty import certify_bounds
 
-__all__ = ["RunConfig", "main", "certify_pipeline"]
+__all__ = ["RunConfig", "main"]
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
@@ -48,20 +48,22 @@ class RunConfig:
     """Validated knobs shared by the pipeline subcommands."""
 
     domain_spec: str | None
-    h_start: float = 0.125
-    levels: int = 4
-    tol: float = 1e-10
-    hbar: float = 1.0
-    output_format: str = "json"
-    output_path: str | None = None
+    h_start: float
+    levels: int
+    tol: float
+    hbar: float
+    output_format: str
+    output_path: str | None
 
     def __post_init__(self):
         if self.levels < 3:
             raise DomainError(f"levels must be >= 3, got {self.levels}")
-        if not self.tol > 0:
-            raise DomainError(f"tol must be positive, got {self.tol}")
-        if not self.hbar > 0:
-            raise DomainError(f"hbar must be positive, got {self.hbar}")
+        # a relative residual of 1 or more places lambda anywhere in
+        # [0, 2 theta], so it certifies nothing
+        if not 0 < self.tol < 1:
+            raise DomainError(f"tol must be in (0, 1), got {self.tol}")
+        if not 0 < self.hbar < math.inf:
+            raise DomainError(f"hbar must be positive and finite, got {self.hbar}")
         if self.output_format not in ("json", "csv"):
             raise DomainError(f"format must be json or csv, got {self.output_format}")
 
@@ -101,29 +103,6 @@ def _warn_mask_hypothesis(domain: Domain, stream):
             "constants still bound it but equality cases do not apply",
             file=stream,
         )
-
-
-def certify_pipeline(
-    domain: Domain,
-    h_start: float,
-    levels: int,
-    tol: float,
-    hbar: float = 1.0,
-) -> tuple[ConvergenceStudy, UncertaintyReport]:
-    """Grid refinement, extrapolation and bound certification in one call."""
-    study = refine(domain, h_start, levels, tol)
-    spectrum = study.finest_spectrum
-    field = spectrum.wavefield(study.finest_grid, 0)
-    report = certify_bounds(
-        domain,
-        study.extrapolated,
-        study.error_estimate,
-        field,
-        PhysicalConstants(hbar),
-        matrix=study.finest_matrix,
-        lambda1_discrete=float(spectrum.eigenvalues[0]),
-    )
-    return study, report
 
 
 def _study_json(domain: Domain, cfg: RunConfig, study: ConvergenceStudy) -> dict:
@@ -167,9 +146,7 @@ def _cmd_certify(args) -> int:
     domain = _load_domain(cfg.domain_spec)
     stream = _message_stream(cfg.output_path)
     _warn_mask_hypothesis(domain, stream)
-    study, report = certify_pipeline(
-        domain, cfg.h_start, cfg.levels, cfg.tol, hbar=cfg.hbar
-    )
+    report = certify_bounds(refine(domain, cfg.h_start, cfg.levels, cfg.tol), cfg.hbar)
     if cfg.output_format == "csv":
         _write_artifact(report.to_csv(), cfg.output_path)
     else:
@@ -279,9 +256,8 @@ def _cmd_sweep(args) -> int:
         try:
             if isinstance(shape, Exception):  # a mask file that did not load
                 raise shape
-            study, report = certify_pipeline(
-                shape, cfg.h_start, cfg.levels, cfg.tol, hbar=cfg.hbar
-            )
+            study = refine(shape, cfg.h_start, cfg.levels, cfg.tol)
+            report = certify_bounds(study, cfg.hbar)
             cells = report.csv_cells()
             row.update(cells, kind=cells["domain_kind"], status="ok")
             row["observed_order"] = study.observed_order

@@ -73,18 +73,21 @@ def refine(
     Raises GridError/SolverConvergenceError if a level cannot be built or
     solved, and ValueError when a level's bounding-box lattice, which
     build_grid allocates in full, would exceed `point_cap` points.  Every
-    level is checked before the first one is built.  A non-monotone lambda1
-    sequence is reported via the study's `monotone` flag, not raised.
+    level is checked before the first one is built, and the check stops at
+    the first oversized level.  A non-monotone lambda1 sequence is reported
+    via the study's `monotone` flag, not raised.
     """
     if levels < 3:
         raise ValueError(f"need at least 3 refinement levels, got {levels}")
-    spacings = [h_start / 2**i for i in range(levels)]
-    for h in spacings:
+    spacings = []
+    for i in range(levels):
+        h = h_start * 0.5**i
         lattice = math.prod(_lattice_shape(domain, h))
         if lattice > point_cap:
             raise ValueError(
                 f"level h={h} has {lattice} lattice points, above the cap {point_cap}"
             )
+        spacings.append(h)
     lams = []
     grid = v0 = None
     for h in spacings:

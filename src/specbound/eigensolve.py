@@ -33,7 +33,8 @@ _DROPPED = 1e-12  # Gram eigenvalue share below which a direction is roundoff
 
 
 class SolverConvergenceError(RuntimeError):
-    """Iteration cap reached before the residual target.
+    """Residual target not reached: the iteration cap was hit, or a fresh
+    residual check failed without improving on the previous failed one.
 
     `best_residual` is the smallest ||A v - lambda v|| seen in any
     iteration.  Most are computed from the carried product A v, which near
@@ -51,7 +52,6 @@ class WaveField:
 
     values: np.ndarray
     grid: Grid
-    normalized: bool = False
 
     def __post_init__(self):
         if self.values.shape != (self.grid.point_count,):
@@ -73,7 +73,7 @@ class WaveField:
         nrm = math.sqrt(self.norm_squared())
         if nrm == 0.0:
             raise ValueError("cannot normalize the zero field")
-        return WaveField(self.values / nrm, self.grid, normalized=True)
+        return WaveField(self.values / nrm, self.grid)
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class Spectrum:
 
     def wavefield(self, grid: Grid, index: int = 0) -> WaveField:
         """The index-th eigenvector as a normalized WaveField on `grid`."""
-        return WaveField(self.eigenvectors[:, index].copy(), grid, normalized=True)
+        return WaveField(self.eigenvectors[:, index].copy(), grid)
 
 
 def rayleigh_quotient(matrix: OperatorMatrix, psi: "WaveField | np.ndarray") -> float:
@@ -120,8 +120,8 @@ def _lobpcg(a, start, deflation, tol, cap, work):
     x /= norm
     ax[:] = a @ x
     p[:] = ap[:] = 0.0
-    matvecs, best, fresh = 1, math.inf, True
-    for _ in range(cap):
+    matvecs, best, fresh, failed = 1, math.inf, True, math.inf
+    for step in range(cap):
         lam = float(x @ ax)
         np.multiply(x, lam, out=r)
         np.subtract(ax, r, out=r)
@@ -134,6 +134,12 @@ def _lobpcg(a, start, deflation, tol, cap, work):
             ax[:] = a @ x
             matvecs, fresh = matvecs + 1, True
             continue
+        if fresh and step > 0:
+            # a fresh check failed.  Below the roundoff floor the carried
+            # residual keeps passing while the fresh ones stop improving
+            if res >= failed:
+                break
+            failed = res
         fresh = False
         ar[:] = a @ _deflate(r, deflation)
         matvecs += 1
@@ -166,7 +172,7 @@ def _lobpcg(a, start, deflation, tol, cap, work):
         ax /= norm
     raise SolverConvergenceError(
         f"eigenpair {len(deflation)} did not reach residual {tol * lam:.3e} "
-        f"within {cap} iterations ({matvecs} matvecs, best {best:.3e})",
+        f"within {step + 1} iterations ({matvecs} matvecs, best {best:.3e})",
         best_residual=best,
     )
 
@@ -181,20 +187,25 @@ def smallest_eigenpairs(
     """Compute the k smallest eigenpairs of an SPD operator matrix.
 
     Each eigenpair satisfies ||A v - lambda v|| <= tol * lambda, checked
-    with a fresh product A v.  The first eigenvector starts from `v0`, which
-    must be finite and not zero (else ValueError), or else from the constant
-    vector; later ones start from draws seeded with `seed`.  Raises SolverConvergenceError when an eigenpair takes more than
-    4 N + 100 iterations.  Without a preconditioner the count grows with the
-    lattice's diameter in steps, which is N on a 1-D or path-like lattice:
-    a cold start on the unit interval at N = 2047 takes about 2.4 N.  Fat
-    2-D and 3-D lattices need far fewer.
+    with a fresh product A v; `tol` must lie in (0, 1).  The first
+    eigenvector starts from `v0`, which must be finite and not zero (else
+    ValueError), or else from the constant vector; later ones start from
+    draws seeded with `seed`.
+
+    Raises SolverConvergenceError when an eigenpair takes more than
+    4 N + 100 iterations, or when a fresh residual check fails without
+    improving on the previous failed one, the sign that `tol` is below the
+    roundoff floor.  Without a preconditioner the iteration count grows
+    with the lattice's diameter in steps, which is N on a 1-D or path-like
+    lattice: a cold start on the unit interval at N = 2047 takes about
+    2.4 N.  Fat 2-D and 3-D lattices need far fewer.
     """
     a = matrix.matrix
     n = a.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be in (0, 1), got {tol}")
     rng = np.random.default_rng(seed)
     cap = 4 * n + 100
     work = np.empty((6, n))

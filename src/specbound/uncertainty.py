@@ -24,18 +24,18 @@ from typing import NamedTuple
 import numpy as np
 
 from ._format import csv_text, format_float, to_json
-from .discretize import Grid, OperatorMatrix
+from .convergence import ConvergenceStudy
+from .discretize import OperatorMatrix
 from .eigensolve import WaveField
 
 # Unused here; kept because the benchmark's tracer (perfbench/spans.py)
 # patches uncertainty.smallest_eigenpairs by name.
 from .eigensolve import smallest_eigenpairs  # noqa: F401
-from .geometry import Domain, DomainMetrics, unit_ball_volume
+from .geometry import DomainMetrics, unit_ball_volume
 from .specfun import first_zero
 
 __all__ = [
     "BoundCheck",
-    "PhysicalConstants",
     "UncertaintyReport",
     "certify_bounds",
     "krahn_ratio",
@@ -56,17 +56,6 @@ _BOUNDS = (
 )
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Unit system; natural units hbar = 1 by default."""
-
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
-
-
 def _require_normalized(field: WaveField):
     if field.values.shape[0] == 0 or not np.any(field.values):
         raise ValueError("field is zero")
@@ -77,9 +66,7 @@ def _require_normalized(field: WaveField):
         )
 
 
-def momentum_stddev(
-    matrix: OperatorMatrix, field: WaveField, consts: PhysicalConstants
-) -> float:
+def momentum_stddev(matrix: OperatorMatrix, field: WaveField, hbar: float = 1.0) -> float:
     """sigma_p of a normalized real state via the operator quadratic form.
 
     Returns hbar * sqrt(h^n * psi^T A psi); for normalized psi this equals
@@ -87,18 +74,17 @@ def momentum_stddev(
     """
     _require_normalized(field)
     quad = field.weight * matrix.quadratic_form(field.values)
-    return consts.hbar * math.sqrt(quad)
+    return hbar * math.sqrt(quad)
 
 
-def mean_momentum(
-    grid: Grid, field: WaveField, consts: PhysicalConstants = PhysicalConstants()
-) -> np.ndarray:
+def mean_momentum(field: WaveField, hbar: float = 1.0) -> np.ndarray:
     """Per-axis central-difference momentum expectation of a real field.
 
     For real fields the expectation vanishes up to summation roundoff; the
     returned vector is the magnitude coefficient of the (imaginary)
     expectation per axis.
     """
+    grid = field.grid
     psi = field.values
     h = grid.spacing
     weight = field.weight
@@ -108,15 +94,15 @@ def mean_momentum(
         src_m, dst_m = grid.neighbor_pairs(axis, -1)
         forward = float(psi[src_p] @ psi[dst_p])
         backward = float(psi[src_m] @ psi[dst_m])
-        out[axis] = consts.hbar * weight * (forward - backward) / (2.0 * h)
+        out[axis] = hbar * weight * (forward - backward) / (2.0 * h)
     return out
 
 
-def position_stddev(grid: Grid, field: WaveField) -> float:
+def position_stddev(field: WaveField) -> float:
     """Total position spread sqrt(sum_i h^n psi_i^2 ||x_i - mean||^2)."""
     _require_normalized(field)
     prob = field.weight * field.values**2
-    points = grid.points()
+    points = field.grid.points()
     mean = prob @ points
     centered = points - mean
     return math.sqrt(float(prob @ np.sum(centered**2, axis=1)))
@@ -278,54 +264,47 @@ class UncertaintyReport:
         return csv_text(cells, [cells])
 
 
-def certify_bounds(
-    domain: Domain,
-    lambda1: float,
-    lambda1_error: float,
-    field: WaveField,
-    consts: PhysicalConstants = PhysicalConstants(),
-    *,
-    matrix: OperatorMatrix,
-    lambda1_discrete: float,
-) -> UncertaintyReport:
-    """Populate an UncertaintyReport for a domain and its ground state.
+def certify_bounds(study: ConvergenceStudy, hbar: float = 1.0) -> UncertaintyReport:
+    """Populate an UncertaintyReport from a refinement study.
 
-    `lambda1` is the extrapolated continuum estimate with absolute error
-    `lambda1_error`; `field` is the normalized ground state on the finest
-    grid, `matrix` that grid's operator and `lambda1_discrete` its smallest
-    eigenvalue, both as the caller's refinement study computed them.
+    The continuum statements use the study's extrapolated lambda1 and its
+    error estimate; sigma_p, sigma_x and the spectral bound use the ground
+    state, operator and discrete lambda1 of its finest level.  Raises
+    ValueError unless hbar is positive and finite.
     """
-    _require_normalized(field)
-    grid = field.grid
+    if not 0.0 < hbar < math.inf:
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
+    grid = study.finest_grid
+    spectrum = study.finest_spectrum
+    field = spectrum.wavefield(grid, 0)
     n = grid.dim
-    metrics = domain.metrics()
+    metrics = grid.domain.metrics()
     zero = first_zero(n / 2.0 - 1.0)
+    lambda1, lambda1_error = study.extrapolated, study.error_estimate
+    lambda1_discrete = float(spectrum.eigenvalues[0])
 
-    sigma_p = momentum_stddev(matrix, field, consts)
-    sigma_x = position_stddev(grid, field)
-    mean_p = mean_momentum(grid, field, consts)
+    sigma_p = momentum_stddev(study.finest_matrix, field, hbar)
+    sigma_x = position_stddev(field)
+    mean_p = mean_momentum(field, hbar)
 
     band = 5.0 * (lambda1_error / lambda1) if lambda1 > 0 else math.inf
-    sqrt_lambda = math.sqrt(lambda1)
-    diameter_product = sqrt_lambda * metrics.diameter
-    diameter_product_discrete = (
-        sigma_p * metrics.diameter / consts.hbar
-    )
+    diameter_product = math.sqrt(lambda1) * metrics.diameter
+    diameter_product_discrete = sigma_p * metrics.diameter / hbar
 
     margins = {
-        "eq7": sigma_p / (consts.hbar * math.sqrt(lambda1_discrete)) - 1.0,
+        "eq7": sigma_p / (hbar * math.sqrt(lambda1_discrete)) - 1.0,
         "eq10": diameter_product / (2.0 * zero.value) - 1.0,
-        "kennard": sigma_p * sigma_x / (consts.hbar / 2.0) - 1.0,
+        "kennard": sigma_p * sigma_x / (hbar / 2.0) - 1.0,
     }
     ratio = krahn_ratio(lambda1, metrics, n)
 
     return UncertaintyReport(
-        domain_spec=domain.to_spec(),
+        domain_spec=grid.domain.to_spec(),
         n=n,
-        hbar=consts.hbar,
-        lambda1=float(lambda1),
-        lambda1_error=float(lambda1_error),
-        lambda1_discrete=float(lambda1_discrete),
+        hbar=hbar,
+        lambda1=lambda1,
+        lambda1_error=lambda1_error,
+        lambda1_discrete=lambda1_discrete,
         sigma_p=sigma_p,
         sigma_x=sigma_x,
         mean_p=mean_p,

@@ -17,7 +17,6 @@ from specbound import (
     Box,
     Ellipse,
     Interval,
-    PhysicalConstants,
     Polygon,
     RasterMask,
     WaveField,
@@ -82,34 +81,11 @@ def extra_studies():
     }
 
 
-def report_from(domain, study, hbar=1.0):
-    field = study.finest_spectrum.wavefield(study.finest_grid, 0)
-    return certify_bounds(
-        domain,
-        study.extrapolated,
-        study.error_estimate,
-        field,
-        PhysicalConstants(hbar),
-        matrix=study.finest_matrix,
-        lambda1_discrete=float(study.finest_spectrum.eigenvalues[0]),
-    )
-
-
 @pytest.fixture(scope="module")
 def suite_reports(core_studies, extra_studies):
-    studies, _ = core_studies
-    return {
-        "disk": report_from(Ball([0.0, 0.0], 1.0), studies["disk"]),
-        "square": report_from(Box([[0.0, 1.0], [0.0, 1.0]]), studies["square"]),
-        "rect2": report_from(Box([[0.0, 2.0], [0.0, 1.0]]), extra_studies["rect2"]),
-        "rect4": report_from(Box([[0.0, 4.0], [0.0, 1.0]]), extra_studies["rect4"]),
-        "ellipse2": report_from(
-            Ellipse([0.0, 0.0], [1.0, 0.5]), extra_studies["ellipse2"]
-        ),
-        "lshape": report_from(Polygon(L_VERTICES), extra_studies["lshape"]),
-        "ball": report_from(Ball([0.0, 0.0, 0.0], 1.0), extra_studies["ball"]),
-        "interval": report_from(Interval(0.0, 1.0), studies["interval"]),
-    }
+    studies = {**core_studies[0], **extra_studies}
+    names = ("disk", "square", "rect2", "rect4", "ellipse2", "lshape", "ball", "interval")
+    return {name: certify_bounds(studies[name]) for name in names}
 
 
 def test_criterion_1_bessel_constants():
@@ -160,7 +136,6 @@ def test_criterion_4_krahn_certification(suite_reports):
 
 def test_criterion_5_spectral_bound(suite_reports):
     with criterion(5, "sigma_p >= hbar*sqrt(discrete lambda1), zero violations"):
-        consts = PhysicalConstants()
         rng = np.random.default_rng(20260810)
         for name, report in suite_reports.items():
             domain_spec = report.domain_spec
@@ -173,17 +148,17 @@ def test_criterion_5_spectral_bound(suite_reports):
             matrix = assemble(grid)
             spectrum = smallest_eigenpairs(matrix, k=1)
             lam = float(spectrum.eigenvalues[0])
-            floor = consts.hbar * math.sqrt(lam)
+            floor = math.sqrt(lam)
             violations = 0
             for _ in range(100):
                 field = WaveField(
                     rng.standard_normal(grid.point_count), grid
                 ).normalize()
-                if momentum_stddev(matrix, field, consts) < floor:
+                if momentum_stddev(matrix, field) < floor:
                     violations += 1
             assert violations == 0, name
             ground = spectrum.wavefield(grid, 0)
-            margin = momentum_stddev(matrix, ground, consts) / floor - 1.0
+            margin = momentum_stddev(matrix, ground) / floor - 1.0
             assert margin <= 1e-8, name
 
 
@@ -197,7 +172,7 @@ def test_criterion_6_diameter_bounds(core_studies, extra_studies, suite_reports)
         # n = 2: within 1 percent, approached from above under refinement
         disk5 = suite_reports["disk"]
         assert disk5.diameter_product == pytest.approx(two_j01, rel=1e-2)
-        disk4 = report_from(Ball([0.0, 0.0], 1.0), extra_studies["disk4"])
+        disk4 = certify_bounds(extra_studies["disk4"])
         assert disk4.diameter_product >= disk5.diameter_product >= two_j01
         # n = 3: within 1 percent, from above
         ball = suite_reports["ball"]
@@ -240,7 +215,6 @@ def test_criterion_7_solver_oracle_equivalence():
 
 def test_criterion_8_property_suites(tmp_path, capsys):
     with criterion(8, "variational, orthonormality, positivity, covariance"):
-        consts = PhysicalConstants()
         rng = np.random.default_rng(4391)
         for domain, h in (
             (Ball([0.0, 0.0], 1.0), 1.0 / 8),
@@ -270,11 +244,11 @@ def test_criterion_8_property_suites(tmp_path, capsys):
             # mean momentum vanishes per axis
             field = spectrum.wavefield(grid, 0)
             assert np.all(
-                np.abs(mean_momentum(grid, field, consts)) <= 1e-10 / grid.spacing
+                np.abs(mean_momentum(field)) <= 1e-10 / grid.spacing
             )
             # hbar covariance is exact at c = 2
-            sigma_1 = momentum_stddev(matrix, field, PhysicalConstants(1.0))
-            sigma_2 = momentum_stddev(matrix, field, PhysicalConstants(2.0))
+            sigma_1 = momentum_stddev(matrix, field, 1.0)
+            sigma_2 = momentum_stddev(matrix, field, 2.0)
             assert sigma_2 == 2.0 * sigma_1
         # byte-identical artifacts across two runs of the same config
         spec = '{"kind":"ball","dim":2,"params":{"center":[0,0],"radius":1}}'

@@ -162,24 +162,24 @@ class TestCertify:
     )
     def test_bound_violation_exit_code(self, capsys, monkeypatch, key, forced, passes):
         # honest runs cannot violate the bounds, so force a bad report
-        # through the pipeline seam to pin the exit-code contract: every
+        # through the certification seam to pin the exit-code contract: every
         # printed PASS/FAIL word, the checks() table and the exit code agree
         import specbound.cli as cli_module
 
-        real_pipeline = cli_module.certify_pipeline
+        real_certify = cli_module.certify_bounds
         reports = []
 
-        def broken_pipeline(*args, **kwargs):
-            study, report = real_pipeline(*args, **kwargs)
+        def broken_certify(*args, **kwargs):
+            report = real_certify(*args, **kwargs)
             value = forced(max(report.tolerance_band, 1e-8))
             if key == "krahn":
                 object.__setattr__(report, "krahn_ratio", value)
             else:
                 object.__setattr__(report, "margins", {**report.margins, key: value})
             reports.append(report)
-            return study, report
+            return report
 
-        monkeypatch.setattr(cli_module, "certify_pipeline", broken_pipeline)
+        monkeypatch.setattr(cli_module, "certify_bounds", broken_certify)
         code, _, err = run(capsys, "certify", "--domain", INTERVAL, "--levels", "3")
         checks = reports[0].checks()
         # only the forced bound can fail, and it fails exactly when expected
@@ -195,6 +195,33 @@ class TestCertify:
         )
         assert code == 2
         assert "levels" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--domain", DISK, "--hbar", "inf"],
+            ["certify", "--domain", DISK, "--hbar", "nan"],
+            ["certify", "--domain", DISK, "--tol", "inf"],
+            ["certify", "--domain", DISK, "--tol", "1"],
+            ["lambda1", "--domain", DISK, "--tol", "nan"],
+            ["certify", "--domain", DISK, "--levels", "1100"],
+            ["sweep", "--family", "rectangle-aspect", "--hbar", "inf"],
+        ],
+        ids=["hbar-inf", "hbar-nan", "tol-inf", "tol-1", "tol-nan", "levels-1100", "sweep-hbar-inf"],
+    )
+    def test_vacuous_or_nonfinite_flags_fail_before_any_level(self, capsys, monkeypatch, argv):
+        # an infinite hbar, or a tol that certifies nothing, must not run a
+        # study; --levels 1100 stops at the first level over the lattice cap
+        from specbound import convergence
+
+        def forbidden(domain, h):
+            raise AssertionError(f"build_grid called at h={h}")
+
+        monkeypatch.setattr(convergence, "build_grid", forbidden)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_oversized_study_fails_before_allocating(self, capsys):
         # level 0 alone would be a 200001 x 200001 lattice

@@ -107,6 +107,15 @@ class TestStudyShape:
         with pytest.raises(ValueError, match="cap"):
             refine(Interval(0.0, 1.0), 1.0 / 8, 4, point_cap=64)
 
+    def test_many_levels_stop_at_first_oversized_level(self, monkeypatch):
+        def forbidden(domain, h):
+            raise AssertionError(f"build_grid called at h={h}")
+
+        monkeypatch.setattr(convergence, "build_grid", forbidden)
+        # 2**1100 overflows a float; level 22 (h = 2**-25) is over the cap
+        with pytest.raises(ValueError, match=r"h=2\.98\d*e-08 .*cap"):
+            refine(Interval(0.0, 1.0), 1.0 / 8, 1100)
+
     def test_finest_level_artifacts_kept(self):
         study = refine(Interval(0.0, 1.0), 1.0 / 8, 3)
         assert study.finest_grid is not None

@@ -1,0 +1,140 @@
+"""Property tests: spec round trips, membership nesting and the exact
+power-of-two scaling of the discrete lambda1."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from specbound import (  # noqa: E402
+    Ball,
+    Box,
+    Ellipse,
+    Interval,
+    Polygon,
+    RasterMask,
+    assemble,
+    build_grid,
+    domain_from_spec,
+    smallest_eigenpairs,
+)
+from specbound.eigensolve import DEFAULT_TOL  # noqa: E402
+
+from conftest import L_VERTICES  # noqa: E402
+
+CHEAP = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+coords = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
+lengths = st.floats(min_value=0.25, max_value=4.0, allow_nan=False)
+
+
+@st.composite
+def boxes(draw):
+    dim = draw(st.integers(1, 3))
+    lows = [draw(coords) for _ in range(dim)]
+    return Box([[lo, lo + draw(lengths)] for lo in lows])
+
+
+@st.composite
+def balls(draw):
+    dim = draw(st.integers(1, 3))
+    return Ball([draw(coords) for _ in range(dim)], draw(lengths))
+
+
+@st.composite
+def ellipses(draw):
+    dim = draw(st.integers(2, 3))
+    return Ellipse([draw(coords) for _ in range(dim)], [draw(lengths) for _ in range(dim)])
+
+
+@st.composite
+def polygons(draw):
+    # star-shaped about the origin with increasing angles: simple and
+    # counterclockwise
+    m = draw(st.integers(3, 8))
+    jitter = draw(st.lists(st.floats(0.0, 0.8), min_size=m, max_size=m))
+    radii = draw(st.lists(lengths, min_size=m, max_size=m))
+    angles = [2.0 * math.pi * (i + u) / m for i, u in enumerate(jitter)]
+    return Polygon([[r * math.cos(t), r * math.sin(t)] for r, t in zip(radii, angles)])
+
+
+@st.composite
+def masks(draw):
+    dim = draw(st.integers(2, 3))
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(dim))
+    cells = draw(st.lists(st.booleans(), min_size=math.prod(shape), max_size=math.prod(shape)))
+    cells[0] = True
+    origin = [draw(coords) for _ in range(dim)]
+    return RasterMask(np.reshape(cells, shape), draw(lengths), origin)
+
+
+intervals = st.builds(lambda a, w: Interval(a, a + w), coords, lengths)
+domains = st.one_of(intervals, boxes(), balls(), ellipses(), polygons(), masks())
+
+
+@CHEAP
+@given(domains)
+def test_spec_round_trip(domain):
+    spec = domain.to_spec()
+    again = domain_from_spec(json.loads(json.dumps(spec)))
+    assert type(again) is type(domain)
+    assert again.to_spec() == spec
+
+
+@CHEAP
+@given(domains, st.integers(4, 12), st.integers(0, 2**32 - 1))
+def test_strict_membership_within_closed(domain, per_edge, seed):
+    # lattice points sit on box faces, cell faces and grid-aligned edges,
+    # where the two tests differ; random points cover the rest
+    box = domain.bounding_box
+    h = float((box[:, 1] - box[:, 0]).min()) / per_edge
+    axes = [np.arange(lo - h, hi + 1.5 * h, h) for lo, hi in box]
+    lattice = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    rng = np.random.default_rng(seed)
+    scattered = rng.uniform(box[:, 0] - h, box[:, 1] + h, size=(200, domain.dim))
+    for points in (lattice, scattered):
+        strict = domain.membership(points, strict=True)
+        closed = domain.membership(points, strict=False)
+        assert not np.any(strict & ~closed)
+
+
+SCALED = [
+    (Interval(0.0, 1.0), 1.0 / 16),
+    (Box([[0.0, 2.0], [0.0, 1.0]]), 1.0 / 8),
+    (Ball([0.0, 0.0], 1.0), 1.0 / 8),
+    (Ellipse([0.0, 0.0], [1.0, 0.5]), 1.0 / 8),
+    (Polygon(L_VERTICES), 1.0 / 8),
+    (RasterMask([[1, 1], [1, 0]], cell_size=0.5), 1.0 / 8),
+    (Ball([0.0, 0.0, 0.0], 1.0), 1.0 / 4),
+]
+
+
+def _scaled(domain, factor):
+    params = domain.to_spec()["params"]
+    spec = {
+        "kind": domain.kind,
+        "params": {
+            key: value if key == "mask" else np.multiply(value, factor).tolist()
+            for key, value in params.items()
+        },
+    }
+    return domain_from_spec(spec)
+
+
+def _lambda1(domain, h):
+    return float(smallest_eigenpairs(assemble(build_grid(domain, h)), k=1).eigenvalues[0])
+
+
+@settings(CHEAP, max_examples=20)
+@given(st.sampled_from(SCALED), st.integers(-2, 3))
+def test_lambda1_scales_exactly_under_power_of_two_dilation(case, k):
+    # multiplying lengths and spacing by 2^k is exact in floating point, so
+    # the lattice is the same and the operator is A / 4^k
+    domain, h = case
+    base = _lambda1(domain, h)
+    scaled = _lambda1(_scaled(domain, 2.0**k), h * 2.0**k)
+    assert scaled * 4.0**k == pytest.approx(base, rel=2 * DEFAULT_TOL)

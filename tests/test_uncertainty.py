@@ -7,7 +7,6 @@ import pytest
 from specbound import (
     Ball,
     Interval,
-    PhysicalConstants,
     WaveField,
     assemble,
     build_grid,
@@ -22,7 +21,6 @@ from specbound import (
 )
 
 J01 = 2.404825557695773
-HBAR = PhysicalConstants()
 
 
 def ground_state(domain, h):
@@ -41,37 +39,37 @@ class TestMomentumStddev:
         rng = np.random.default_rng(11)
         for _ in range(25):
             field = WaveField(rng.standard_normal(grid.point_count), grid).normalize()
-            sigma = momentum_stddev(matrix, field, HBAR)
+            sigma = momentum_stddev(matrix, field)
             quotient = rayleigh_quotient(matrix, field)
             assert sigma**2 == pytest.approx(quotient, rel=1e-13)
 
     def test_interval_ground_state_approaches_pi(self, unit_interval):
         _, matrix, _, field = ground_state(unit_interval, 1.0 / 64)
-        sigma = momentum_stddev(matrix, field, HBAR)
+        sigma = momentum_stddev(matrix, field)
         assert sigma == pytest.approx(math.pi, rel=1e-3)
 
     def test_square_ground_state(self, unit_square):
         _, matrix, _, field = ground_state(unit_square, 1.0 / 32)
-        sigma = momentum_stddev(matrix, field, HBAR)
+        sigma = momentum_stddev(matrix, field)
         assert sigma**2 == pytest.approx(2.0 * math.pi**2, rel=2e-3)
 
     def test_disk_ground_state_approaches_bessel_zero(self, unit_disk):
         _, matrix, _, field = ground_state(unit_disk, 1.0 / 32)
-        sigma = momentum_stddev(matrix, field, HBAR)
+        sigma = momentum_stddev(matrix, field)
         assert sigma == pytest.approx(J01, rel=2e-2)
 
     def test_requires_normalization(self, unit_interval):
         grid = build_grid(unit_interval, 0.25)
         matrix = assemble(grid)
         with pytest.raises(ValueError):
-            momentum_stddev(matrix, WaveField(np.ones(3), grid), HBAR)
+            momentum_stddev(matrix, WaveField(np.ones(3), grid))
         with pytest.raises(ValueError):
-            momentum_stddev(matrix, WaveField(np.zeros(3), grid, True), HBAR)
+            momentum_stddev(matrix, WaveField(np.zeros(3), grid))
 
     def test_hbar_scaling_is_exact_at_two(self, unit_interval):
         _, matrix, _, field = ground_state(unit_interval, 1.0 / 16)
-        base = momentum_stddev(matrix, field, PhysicalConstants(1.0))
-        doubled = momentum_stddev(matrix, field, PhysicalConstants(2.0))
+        base = momentum_stddev(matrix, field, 1.0)
+        doubled = momentum_stddev(matrix, field, 2.0)
         assert doubled == 2.0 * base
 
 
@@ -79,14 +77,14 @@ class TestMeanMomentum:
     def test_eigenvector_fields_vanish(self, unit_disk, l_polygon):
         for dom, h in ((unit_disk, 0.125), (l_polygon, 0.125)):
             grid, _, spectrum, field = ground_state(dom, h)
-            mean = mean_momentum(grid, field)
+            mean = mean_momentum(field)
             assert np.all(np.abs(mean) <= 1e-10 / grid.spacing)
 
     def test_symmetric_interval_field_is_exactly_zero(self, unit_interval):
         grid = build_grid(unit_interval, 0.125)
         x = grid.points()[:, 0]
         field = WaveField(np.sin(math.pi * x), grid).normalize()
-        assert mean_momentum(grid, field).tolist() == [0.0]
+        assert mean_momentum(field).tolist() == [0.0]
 
     def test_single_point_field(self):
         mask = np.zeros((3, 3), dtype=int)
@@ -94,15 +92,15 @@ class TestMeanMomentum:
         from specbound import RasterMask
 
         grid = build_grid(RasterMask(mask, cell_size=1.0 / 3.0), 0.25)
-        field = WaveField(np.array([4.0]), grid, normalized=True)
-        assert mean_momentum(grid, field).tolist() == [0.0, 0.0]
+        field = WaveField(np.array([4.0]), grid)
+        assert mean_momentum(field).tolist() == [0.0, 0.0]
 
     def test_random_fields_stay_below_bound(self, unit_square):
         grid = build_grid(unit_square, 1.0 / 16)
         rng = np.random.default_rng(3)
         for _ in range(50):
             field = WaveField(rng.standard_normal(grid.point_count), grid).normalize()
-            mean = mean_momentum(grid, field)
+            mean = mean_momentum(field)
             assert np.all(np.abs(mean) <= 1e-10 / grid.spacing)
 
 
@@ -117,7 +115,7 @@ class TestPositionStddev:
         assert math.sqrt(var) == pytest.approx(closed_form, abs=1e-9)
 
         grid, _, _, field = ground_state(unit_interval, 1.0 / 64)
-        assert position_stddev(grid, field) == pytest.approx(closed_form, rel=1e-3)
+        assert position_stddev(field) == pytest.approx(closed_form, rel=1e-3)
 
     def test_point_mass_has_zero_spread(self):
         from specbound import RasterMask
@@ -125,13 +123,13 @@ class TestPositionStddev:
         mask = np.zeros((3, 3), dtype=int)
         mask[1, 1] = 1
         grid = build_grid(RasterMask(mask, cell_size=1.0 / 3.0), 0.25)
-        field = WaveField(np.array([4.0]), grid, normalized=True)
-        assert position_stddev(grid, field) == 0.0
+        field = WaveField(np.array([4.0]), grid)
+        assert position_stddev(field) == 0.0
 
     def test_kennard_product_on_interval(self, unit_interval):
         grid, matrix, _, field = ground_state(unit_interval, 1.0 / 64)
-        sigma_p = momentum_stddev(matrix, field, HBAR)
-        sigma_x = position_stddev(grid, field)
+        sigma_p = momentum_stddev(matrix, field)
+        sigma_x = position_stddev(field)
         product = sigma_p * sigma_x
         assert product >= 0.5
         assert product == pytest.approx(0.5678658, rel=2e-3)
@@ -169,18 +167,7 @@ class TestKrahnRatio:
 
 @pytest.fixture(scope="module")
 def interval_report():
-    domain = Interval(0.0, 1.0)
-    study = refine(domain, 1.0 / 8, 4)
-    field = study.finest_spectrum.wavefield(study.finest_grid, 0)
-    return certify_bounds(
-        domain,
-        study.extrapolated,
-        study.error_estimate,
-        field,
-        HBAR,
-        matrix=study.finest_matrix,
-        lambda1_discrete=float(study.finest_spectrum.eigenvalues[0]),
-    )
+    return certify_bounds(refine(Interval(0.0, 1.0), 1.0 / 8, 4))
 
 
 class TestCertifyBounds:
@@ -230,36 +217,20 @@ class TestCertifyBounds:
 
     def test_hbar_covariance_leaves_ratios_unchanged(self, unit_interval):
         study = refine(unit_interval, 1.0 / 8, 3)
-        field = study.finest_spectrum.wavefield(study.finest_grid, 0)
-        reports = {}
-        for hbar in (1.0, 2.0):
-            reports[hbar] = certify_bounds(
-                unit_interval,
-                study.extrapolated,
-                study.error_estimate,
-                field,
-                PhysicalConstants(hbar),
-                matrix=study.finest_matrix,
-                lambda1_discrete=float(study.finest_spectrum.eigenvalues[0]),
-            )
+        reports = {hbar: certify_bounds(study, hbar) for hbar in (1.0, 2.0)}
         assert reports[2.0].sigma_p == 2.0 * reports[1.0].sigma_p
         for key in ("eq7", "eq10", "kennard"):
             assert reports[2.0].margins[key] == reports[1.0].margins[key]
         assert reports[2.0].krahn_ratio == reports[1.0].krahn_ratio
         assert reports[2.0].diameter_product == reports[1.0].diameter_product
 
+    def test_rejects_nonpositive_or_nonfinite_hbar(self, unit_interval):
+        study = refine(unit_interval, 1.0 / 8, 3)
+        for hbar in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="hbar"):
+                certify_bounds(study, hbar)
+
     def test_ball_diameter_bound_equality(self):
-        domain = Ball([0.0, 0.0, 0.0], 1.0)
-        study = refine(domain, 1.0 / 4, 3)
-        field = study.finest_spectrum.wavefield(study.finest_grid, 0)
-        report = certify_bounds(
-            domain,
-            study.extrapolated,
-            study.error_estimate,
-            field,
-            HBAR,
-            matrix=study.finest_matrix,
-            lambda1_discrete=float(study.finest_spectrum.eigenvalues[0]),
-        )
+        report = certify_bounds(refine(Ball([0.0, 0.0, 0.0], 1.0), 1.0 / 4, 3))
         # sigma_p * d -> 2 pi hbar for the unit ball
         assert report.diameter_product == pytest.approx(2.0 * math.pi, rel=1e-2)
