@@ -4,7 +4,6 @@ momentum-uncertainty bounds they certify."""
 from .convergence import ConvergenceStudy, refine
 from .discretize import Grid, GridError, OperatorMatrix, assemble, build_grid
 from .eigensolve import (
-    DEFAULT_SEED,
     SolverConvergenceError,
     Spectrum,
     WaveField,
@@ -41,7 +40,6 @@ __all__ = [
     "BesselZero",
     "Box",
     "ConvergenceStudy",
-    "DEFAULT_SEED",
     "Domain",
     "DomainError",
     "DomainMetrics",

@@ -25,9 +25,9 @@ from .eigensolve import DEFAULT_TOL, Spectrum, smallest_eigenpairs
 from .geometry import Domain
 from ._format import csv_text
 
-__all__ = ["ConvergenceStudy", "refine", "DEFAULT_POINT_CAP"]
+__all__ = ["ConvergenceStudy", "refine"]
 
-DEFAULT_POINT_CAP = 20_000_000  # lattice points per level, as build_grid allocates them
+_POINT_CAP = 20_000_000  # lattice points per level, as build_grid allocates them
 
 _ORDER_RANGE = (0.05, 10.0)  # clamp for fits degraded by pre-asymptotic noise
 
@@ -62,7 +62,6 @@ def refine(
     h_start: float,
     levels: int,
     tol: float = DEFAULT_TOL,
-    point_cap: int = DEFAULT_POINT_CAP,
 ) -> ConvergenceStudy:
     """Compute lambda1 at h_start, h_start/2, ... and extrapolate to h -> 0.
 
@@ -72,7 +71,7 @@ def refine(
 
     Raises GridError/SolverConvergenceError if a level cannot be built or
     solved, and ValueError when a level's bounding-box lattice, which
-    build_grid allocates in full, would exceed `point_cap` points.  Every
+    build_grid allocates in full, would exceed 20,000,000 points.  Every
     level is checked before the first one is built, and the check stops at
     the first oversized level.  A non-monotone lambda1 sequence is reported
     via the study's `monotone` flag, not raised.
@@ -83,9 +82,9 @@ def refine(
     for i in range(levels):
         h = h_start * 0.5**i
         lattice = math.prod(_lattice_shape(domain, h))
-        if lattice > point_cap:
+        if lattice > _POINT_CAP:
             raise ValueError(
-                f"level h={h} has {lattice} lattice points, above the cap {point_cap}"
+                f"level h={h} has {lattice} lattice points, above the cap {_POINT_CAP}"
             )
         spacings.append(h)
     lams = []

@@ -76,21 +76,8 @@ class OperatorMatrix:
     def shape(self):
         return self.matrix.shape
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
     def quadratic_form(self, x: np.ndarray) -> float:
         return float(x @ (self.matrix @ x))
-
-    def to_coordinate_text(self) -> str:
-        """Coordinate dump: one '<i> <j> <value>' line per stored entry,
-        0-based, sorted by (i, j)."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        lines = [
-            f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.17g}" for k in order
-        ]
-        return "\n".join(lines) + "\n"
 
 
 def _lattice_shape(domain: Domain, h: float) -> tuple:

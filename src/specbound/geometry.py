@@ -1,8 +1,11 @@
-"""Compact domains in R^n (n = 1, 2, 3): membership tests and exact metrics.
+"""Compact domains in R^n (n = 1, 2, 3): membership tests and metrics.
 
-Every shape is immutable after construction and all operations are pure
-functions of the shape parameters, so instances are safe to share across
-threads.
+Membership comes in a closed and a strict (open-interior) form.  Points
+within a relative 1e-12 of the boundary (1e-9 of a cell for raster masks)
+count as boundary points, so roundoff in lattice coordinates, for example
+after a translation, does not move a point in or out.  Every shape is
+immutable after construction and all operations are pure functions of the
+shape parameters, so instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +31,7 @@ __all__ = [
     "unit_ball_volume",
 ]
 
-CLOSED_FORM = "closed-form"
-ESTIMATED = "estimated"
+_BAND = 1e-12  # relative width of the band of points counted as boundary
 
 
 class DomainError(ValueError):
@@ -64,17 +66,15 @@ def unit_ball_volume(n: int) -> float:
 
 @dataclass(frozen=True)
 class DomainMetrics:
-    """Exact or certified size measures of a domain.
+    """Volume, diameter and, in 2-D, perimeter of a domain.
 
-    `exactness` maps a field name to "closed-form" or "estimated"; estimated
-    fields carry an absolute error bound in `error_bounds`.
+    All are closed forms except the ellipse perimeter, an elliptic integral
+    that the arithmetic-geometric mean gives to about 1e-12 relative.
     """
 
     volume: float
     diameter: float
     perimeter: float | None = None
-    exactness: dict = field(default_factory=dict)
-    error_bounds: dict = field(default_factory=dict)
 
     @property
     def area(self) -> float:
@@ -128,7 +128,7 @@ class Domain(ABC):
 
     @abstractmethod
     def metrics(self) -> DomainMetrics:
-        """Volume, diameter and (in 2-D) perimeter with exactness flags."""
+        """Volume, diameter and (in 2-D) perimeter."""
 
     @abstractmethod
     def to_spec(self) -> dict:
@@ -157,18 +157,11 @@ class Interval(Domain):
         super().__init__(1, [[self.a, self.b]])
 
     def _membership(self, points, strict):
-        x = points[:, 0]
-        if strict:
-            return (x > self.a) & (x < self.b)
-        return (x >= self.a) & (x <= self.b)
+        return _in_box(points, self.bounding_box, strict)
 
     def metrics(self):
         length = self.b - self.a
-        return DomainMetrics(
-            volume=length,
-            diameter=length,
-            exactness={"volume": CLOSED_FORM, "diameter": CLOSED_FORM},
-        )
+        return DomainMetrics(volume=length, diameter=length)
 
     def to_spec(self):
         return {"kind": self.kind, "dim": 1, "params": {"a": self.a, "b": self.b}}
@@ -189,22 +182,14 @@ class Box(Domain):
         super().__init__(bounds.shape[0], bounds)
 
     def _membership(self, points, strict):
-        lo, hi = self.bounds[:, 0], self.bounds[:, 1]
-        if strict:
-            return np.all((points > lo) & (points < hi), axis=1)
-        return np.all((points >= lo) & (points <= hi), axis=1)
+        return _in_box(points, self.bounds, strict)
 
     def metrics(self):
         sides = self.bounds[:, 1] - self.bounds[:, 0]
-        perimeter = 2.0 * float(sides.sum()) if self.dim == 2 else None
-        exact = {"volume": CLOSED_FORM, "diameter": CLOSED_FORM}
-        if perimeter is not None:
-            exact["perimeter"] = CLOSED_FORM
         return DomainMetrics(
             volume=float(np.prod(sides)),
             diameter=float(np.linalg.norm(sides)),
-            perimeter=perimeter,
-            exactness=exact,
+            perimeter=2.0 * float(sides.sum()) if self.dim == 2 else None,
         )
 
     def to_spec(self):
@@ -213,6 +198,14 @@ class Box(Domain):
             "dim": self.dim,
             "params": {"bounds": self.bounds.tolist()},
         }
+
+
+def _in_box(points, box, strict):
+    lo, hi = box[:, 0], box[:, 1]
+    band = _BAND * (hi - lo)
+    if strict:
+        return np.all((points > lo + band) & (points < hi - band), axis=1)
+    return np.all((points >= lo - band) & (points <= hi + band), axis=1)
 
 
 class Ball(Domain):
@@ -231,19 +224,15 @@ class Ball(Domain):
 
     def _membership(self, points, strict):
         r2 = np.sum((points - self.center) ** 2, axis=1)
-        return r2 < self.radius**2 if strict else r2 <= self.radius**2
+        if strict:
+            return r2 < self.radius**2 * (1.0 - _BAND)
+        return r2 <= self.radius**2 * (1.0 + _BAND)
 
     def metrics(self):
-        volume = unit_ball_volume(self.dim) * self.radius**self.dim
-        perimeter = 2.0 * math.pi * self.radius if self.dim == 2 else None
-        exact = {"volume": CLOSED_FORM, "diameter": CLOSED_FORM}
-        if perimeter is not None:
-            exact["perimeter"] = CLOSED_FORM
         return DomainMetrics(
-            volume=volume,
+            volume=unit_ball_volume(self.dim) * self.radius**self.dim,
             diameter=2.0 * self.radius,
-            perimeter=perimeter,
-            exactness=exact,
+            perimeter=2.0 * math.pi * self.radius if self.dim == 2 else None,
         )
 
     def to_spec(self):
@@ -294,24 +283,13 @@ class Ellipse(Domain):
 
     def _membership(self, points, strict):
         q = np.sum(((points - self.center) / self.semi_axes) ** 2, axis=1)
-        return q < 1.0 if strict else q <= 1.0
+        return q < 1.0 - _BAND if strict else q <= 1.0 + _BAND
 
     def metrics(self):
-        volume = unit_ball_volume(self.dim) * float(np.prod(self.semi_axes))
-        diameter = 2.0 * float(np.max(self.semi_axes))
-        exact = {"volume": CLOSED_FORM, "diameter": CLOSED_FORM}
-        bounds = {}
-        perimeter = None
-        if self.dim == 2:
-            perimeter = _agm_ellipse_perimeter(*self.semi_axes)
-            exact["perimeter"] = ESTIMATED
-            bounds["perimeter"] = 1e-12 * perimeter
         return DomainMetrics(
-            volume=volume,
-            diameter=diameter,
-            perimeter=perimeter,
-            exactness=exact,
-            error_bounds=bounds,
+            volume=unit_ball_volume(self.dim) * float(np.prod(self.semi_axes)),
+            diameter=2.0 * float(np.max(self.semi_axes)),
+            perimeter=_agm_ellipse_perimeter(*self.semi_axes) if self.dim == 2 else None,
         )
 
     def to_spec(self):
@@ -377,16 +355,7 @@ class Polygon(Domain):
         perimeter = float(np.sum(np.hypot(edge[:, 0], edge[:, 1])))
         diff = verts[:, None, :] - verts[None, :, :]
         diameter = float(np.sqrt(np.max(np.sum(diff**2, axis=-1))))
-        return DomainMetrics(
-            volume=float(area),
-            diameter=diameter,
-            perimeter=perimeter,
-            exactness={
-                "volume": CLOSED_FORM,
-                "diameter": CLOSED_FORM,
-                "perimeter": CLOSED_FORM,
-            },
-        )
+        return DomainMetrics(volume=float(area), diameter=diameter, perimeter=perimeter)
 
     def to_spec(self):
         return {
@@ -474,52 +443,21 @@ class RasterMask(Domain):
         return result
 
     def metrics(self):
-        cell_vol = self.cell_size**self.dim
-        count = int(self.occupied.sum())
-        boundary = int(self._boundary_cells().sum())
-        volume = count * cell_vol
-        corners = self._occupied_corners()
-        diameter = _max_pairwise_distance(corners)
+        occ = self.occupied
         perimeter = None
-        exact = {"volume": ESTIMATED, "diameter": CLOSED_FORM}
-        bounds = {"volume": boundary * cell_vol}
         if self.dim == 2:
-            perimeter = self._exposed_edges() * self.cell_size
-            exact["perimeter"] = CLOSED_FORM
+            exposed = sum(int(np.sum(occ & ~nb)) for nb in _neighbor_views(occ))
+            perimeter = exposed * self.cell_size
         return DomainMetrics(
-            volume=volume,
-            diameter=diameter,
+            volume=int(occ.sum()) * self.cell_size**self.dim,
+            diameter=_max_pairwise_distance(self._occupied_corners()),
             perimeter=perimeter,
-            exactness=exact,
-            error_bounds=bounds,
         )
 
     def _boundary_cells(self) -> np.ndarray:
         # occupied cells with at least one non-occupied axis neighbor
         occ = self.occupied
-        pad = np.pad(occ, 1, constant_values=False)
-        interior = np.ones_like(occ)
-        for axis in range(self.dim):
-            for shift in (-1, 1):
-                sl = tuple(
-                    slice(1 + (shift if a == axis else 0), s + 1 + (shift if a == axis else 0))
-                    for a, s in enumerate(occ.shape)
-                )
-                interior &= pad[sl]
-        return occ & ~interior
-
-    def _exposed_edges(self) -> int:
-        occ = self.occupied
-        pad = np.pad(occ, 1, constant_values=False)
-        edges = 0
-        for axis in range(self.dim):
-            for shift in (-1, 1):
-                sl = tuple(
-                    slice(1 + (shift if a == axis else 0), s + 1 + (shift if a == axis else 0))
-                    for a, s in enumerate(occ.shape)
-                )
-                edges += int(np.sum(occ & ~pad[sl]))
-        return edges
+        return occ & ~np.logical_and.reduce(list(_neighbor_views(occ)))
 
     def _occupied_corners(self) -> np.ndarray:
         idx = np.argwhere(self._boundary_cells())
@@ -567,6 +505,20 @@ class RasterMask(Domain):
         }
 
 
+def _neighbor_views(occ: np.ndarray):
+    """The 2 * ndim views of `occ` shifted by one cell along each axis, with
+    False beyond the array's edge."""
+    pad = np.pad(occ, 1, constant_values=False)
+    for axis in range(occ.ndim):
+        for shift in (-1, 1):
+            yield pad[
+                tuple(
+                    slice(1 + shift * (a == axis), s + 1 + shift * (a == axis))
+                    for a, s in enumerate(occ.shape)
+                )
+            ]
+
+
 def _max_pairwise_distance(points: np.ndarray, chunk: int = 512) -> float:
     best = 0.0
     for start in range(0, points.shape[0], chunk):
@@ -576,16 +528,7 @@ def _max_pairwise_distance(points: np.ndarray, chunk: int = 512) -> float:
     return math.sqrt(best)
 
 
-_KINDS = {}
-
-
-def _register(cls):
-    _KINDS[cls.kind] = cls
-    return cls
-
-
-for _cls in (Interval, Box, Ball, Ellipse, Polygon, RasterMask):
-    _register(_cls)
+_KINDS = {cls.kind: cls for cls in (Interval, Box, Ball, Ellipse, Polygon, RasterMask)}
 
 
 def domain_from_spec(spec: dict) -> Domain:

@@ -1,9 +1,10 @@
 """Bessel functions J_m of the first kind and their first positive zeros.
 
-Supported orders are the half-integers -1/2 and 1/2 (closed trigonometric
-forms) and the integers 0..5.  First zeros are located by sign-change
-bracketing followed by bisection, so every returned zero carries a bracket
-certificate and a residual.
+Supported are the orders n/2 - 1 for n = 1, 2, 3 that the sharp constants
+j_{n/2-1,1} need: -1/2 and 1/2 (closed trigonometric forms) and 0 (the
+ascending series, for 0 <= x <= 12).  First zeros are located by
+sign-change bracketing followed by bisection, so every returned zero
+carries a bracket certificate and a residual.
 """
 
 from __future__ import annotations
@@ -13,13 +14,10 @@ from dataclasses import dataclass
 
 __all__ = ["BesselZero", "bessel_j", "first_zero", "SUPPORTED_ORDERS"]
 
-_HALF_ORDERS = (-0.5, 0.5)
-_INT_ORDERS = tuple(range(6))
-SUPPORTED_ORDERS = _HALF_ORDERS + _INT_ORDERS
+SUPPORTED_ORDERS = (-0.5, 0, 0.5)
 
-_SERIES_CUTOFF = 12.0  # ascending series below, downward recurrence above
+_SERIES_CUTOFF = 12.0  # J_0 is evaluated by its series up to here
 _SCAN_STEP = 0.1
-_SCAN_MAX = 30.0
 _BISECT_WIDTH = 1e-14
 
 
@@ -42,52 +40,25 @@ def _check_order(order: float) -> float:
     return order
 
 
-def _j_series(m: int, x: float) -> float:
-    # ascending series sum_k (-1)^k (x/2)^(2k+m) / (k! (k+m)!); converges for
-    # all x, used only below the cutoff where cancellation stays harmless
+def _j0_series(x: float) -> float:
+    # ascending series sum_k (-1)^k (x/2)^(2k) / (k!)^2; converges for all
+    # x, used only below the cutoff where cancellation stays harmless
     half = x / 2.0
-    term = half**m / math.factorial(m)
-    total = term
+    term = total = 1.0
     k = 0
     while abs(term) > 1e-18 * (abs(total) + 1.0) and k < 200:
         k += 1
-        term *= -(half * half) / (k * (k + m))
+        term *= -(half * half) / (k * k)
         total += term
     return total
-
-
-def _j_recurrence(m_want: int, x: float) -> float:
-    # Miller's downward recurrence, normalized by J_0 + 2*sum J_2k = 1;
-    # near machine precision for the moderate x used here
-    start = int(x + 20 + 6.0 * math.sqrt(x))
-    if start % 2:
-        start += 1
-    jp, j = 0.0, 1e-30
-    norm = 0.0
-    wanted = 0.0
-    for k in range(start, 0, -1):
-        jm = (2.0 * k / x) * j - jp
-        jp, j = j, jm
-        if abs(j) > 1e250:
-            j *= 1e-250
-            jp *= 1e-250
-            norm *= 1e-250
-            if k - 1 <= m_want:
-                wanted *= 1e-250
-        if k - 1 == m_want:
-            wanted = j
-        if (k - 1) % 2 == 0 and k - 1 > 0:
-            norm += 2.0 * j
-    norm += j
-    return wanted / norm
 
 
 def bessel_j(order: float, x: float) -> float:
     """Evaluate J_order(x) for x >= 0.
 
-    Half-integer orders use their trigonometric closed forms; integer orders
-    use the ascending series for x <= 12 and a normalized downward
-    recurrence beyond.  Absolute error stays below 1e-12 for 0 <= x <= 50.
+    Half-integer orders use their trigonometric closed forms.  Order 0 uses
+    the ascending series, with absolute error below 1e-12, and raises
+    ValueError for x > 12.
     """
     order = _check_order(order)
     x = float(x)
@@ -101,12 +72,9 @@ def bessel_j(order: float, x: float) -> float:
         if x == 0.0:
             return 0.0
         return math.sqrt(2.0 / (math.pi * x)) * math.sin(x)
-    m = int(order)
-    if x == 0.0:
-        return 1.0 if m == 0 else 0.0
-    if x <= _SERIES_CUTOFF:
-        return _j_series(m, x)
-    return _j_recurrence(m, x)
+    if x > _SERIES_CUTOFF:
+        raise ValueError(f"J_0 is supported for x <= {_SERIES_CUTOFF}, got {x}")
+    return _j0_series(x)
 
 
 def first_zero(order: float) -> BesselZero:
@@ -119,7 +87,7 @@ def first_zero(order: float) -> BesselZero:
     lo = _SCAN_STEP
     f_lo = bessel_j(order, lo)
     hi = lo
-    while hi < _SCAN_MAX:
+    while hi < _SERIES_CUTOFF:
         hi = hi + _SCAN_STEP
         f_hi = bessel_j(order, hi)
         if f_lo == 0.0:
@@ -130,7 +98,7 @@ def first_zero(order: float) -> BesselZero:
             break
         lo, f_lo = hi, f_hi
     else:
-        raise ValueError(f"no sign change of J_{order} found in (0, {_SCAN_MAX}]")
+        raise ValueError(f"no sign change of J_{order} found in (0, {_SERIES_CUTOFF}]")
 
     bracket = (lo, hi)
     a, b = lo, hi

@@ -266,7 +266,14 @@ class TestBesselZeros:
         assert code == 0
         lines = out.strip().split("\n")
         assert lines[0] == "n,order,zero,two_zero,residual"
-        assert len(lines) == 4
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[:4] for row in rows] == [
+            ["1", "-0.5", "1.57079632679", "3.14159265359"],
+            ["2", "0", "2.4048255577", "4.80965111539"],
+            ["3", "0.5", "3.14159265359", "6.28318530718"],
+        ]
+        # bisection stops at a bracket of width 1e-14 and |J'| < 1 there
+        assert all(float(row[4]) <= 5e-15 for row in rows)
 
 
 class TestDumpSpec:

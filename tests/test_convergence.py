@@ -20,6 +20,16 @@ from conftest import L_VERTICES
 from test_discretize import interval_eigenvalues
 
 
+@pytest.fixture
+def no_grid(monkeypatch):
+    """Make building any level fail the test."""
+
+    def forbidden(domain, h):
+        raise AssertionError(f"build_grid called at h={h}")
+
+    monkeypatch.setattr(convergence, "build_grid", forbidden)
+
+
 @pytest.fixture(scope="module")
 def interval_study():
     return refine(Interval(0.0, 1.0), 1.0 / 8, 4)
@@ -94,24 +104,18 @@ class TestStudyShape:
         with pytest.raises(ValueError):
             refine(Interval(0.0, 1.0), 1.0 / 8, 2)
 
-    def test_point_cap_enforced(self):
-        with pytest.raises(ValueError, match="cap"):
-            refine(Interval(0.0, 1.0), 1.0 / 8, 4, point_cap=20)
+    def test_point_cap_enforced(self, no_grid):
+        # 2**25 + 1 lattice points at the first level
+        with pytest.raises(ValueError, match="33554433 lattice points, above the cap 20000000"):
+            refine(Interval(0.0, 1.0), 2.0**-25, 3)
 
-    def test_point_cap_checked_before_any_level_is_built(self, monkeypatch):
-        def forbidden(domain, h):
-            raise AssertionError(f"build_grid called at h={h}")
+    def test_point_cap_checked_before_any_level_is_built(self, no_grid):
+        # lattices of 2**22 + 1 to 2**25 + 1 points: only the finest is over
+        # the cap
+        with pytest.raises(ValueError, match=r"h=2\.98\d*e-08 .*cap"):
+            refine(Interval(0.0, 1.0), 2.0**-22, 4)
 
-        monkeypatch.setattr(convergence, "build_grid", forbidden)
-        # lattices of 9, 17, 33, 65 points: only the finest is over the cap
-        with pytest.raises(ValueError, match="cap"):
-            refine(Interval(0.0, 1.0), 1.0 / 8, 4, point_cap=64)
-
-    def test_many_levels_stop_at_first_oversized_level(self, monkeypatch):
-        def forbidden(domain, h):
-            raise AssertionError(f"build_grid called at h={h}")
-
-        monkeypatch.setattr(convergence, "build_grid", forbidden)
+    def test_many_levels_stop_at_first_oversized_level(self, no_grid):
         # 2**1100 overflows a float; level 22 (h = 2**-25) is over the cap
         with pytest.raises(ValueError, match=r"h=2\.98\d*e-08 .*cap"):
             refine(Interval(0.0, 1.0), 1.0 / 8, 1100)

@@ -132,7 +132,7 @@ class TestAssemble:
         rng = np.random.default_rng(7)
         for _ in range(5):
             x = rng.standard_normal(matrix.shape[0])
-            sparse_result = matrix.matvec(x)
+            sparse_result = matrix.matrix @ x
             dense_result = dense @ x
             scale = float(np.linalg.norm(dense_result))
             assert np.linalg.norm(sparse_result - dense_result) <= 1e-13 * scale
@@ -209,17 +209,3 @@ class TestProlong:
         assert out.shape == (fine.point_count,)
         assert np.all(np.isfinite(out))
 
-
-class TestCoordinateDump:
-    def test_format_and_round_trip(self, unit_interval):
-        matrix = assemble(build_grid(unit_interval, 0.25))
-        text = matrix.to_coordinate_text()
-        lines = text.strip().split("\n")
-        triplets = [line.split() for line in lines]
-        assert all(len(t) == 3 for t in triplets)
-        keys = [(int(t[0]), int(t[1])) for t in triplets]
-        assert keys == sorted(keys)
-        rebuilt = np.zeros((3, 3))
-        for i, j, value in triplets:
-            rebuilt[int(i), int(j)] = float(value)
-        assert np.array_equal(rebuilt, matrix.matrix.toarray())

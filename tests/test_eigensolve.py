@@ -93,7 +93,7 @@ class TestSmallestEigenpairs:
         for i in range(3):
             v = spectrum.eigenvectors[:, i]
             lam = spectrum.eigenvalues[i]
-            recomputed = np.linalg.norm(matrix.matvec(v) - lam * v) / np.linalg.norm(v)
+            recomputed = np.linalg.norm(matrix.matrix @ v - lam * v) / np.linalg.norm(v)
             assert recomputed <= 1e-10 * lam * 1.01
             assert abs(recomputed - spectrum.residuals[i]) <= 1e-12 * lam
 
@@ -116,8 +116,8 @@ class TestSmallestEigenpairs:
     def test_deterministic_for_fixed_seed(self, unit_disk):
         grid = build_grid(unit_disk, 0.125)
         matrix = assemble(grid)
-        s1 = smallest_eigenpairs(matrix, k=2, seed=123)
-        s2 = smallest_eigenpairs(matrix, k=2, seed=123)
+        s1 = smallest_eigenpairs(matrix, k=2)
+        s2 = smallest_eigenpairs(matrix, k=2)
         assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
         assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
 

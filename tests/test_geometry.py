@@ -139,12 +139,9 @@ class TestMetrics:
 
 
 class TestRasterMask:
-    def test_volume_estimated_with_boundary_bound(self, block_mask):
-        met = block_mask.metrics()
-        assert met.volume == pytest.approx(4.0, rel=1e-14)
-        assert met.exactness["volume"] == "estimated"
-        # 8x8 block: 28 boundary cells of area 1/16
-        assert met.error_bounds["volume"] == pytest.approx(28 / 16, rel=1e-14)
+    def test_volume_is_occupied_cell_count_times_cell_area(self, block_mask):
+        # 8x8 block of cells of side 1/4: the closed union has area 4 exactly
+        assert block_mask.metrics().volume == 4.0
 
     def test_block_diameter_and_perimeter(self, block_mask):
         met = block_mask.metrics()
@@ -153,14 +150,18 @@ class TestRasterMask:
 
     def test_mask_volume_converges_to_disk_volume(self, unit_disk):
         # rasterize the disk at shrinking cell size; the cell-count volume
-        # must approach pi within the one-boundary-layer bound
+        # must approach pi within the area of the occupied cells that have
+        # an unoccupied axis neighbor (one boundary layer)
         for cells in (16, 32, 64):
             c = 2.0 / cells
             centers = -1.0 + (np.arange(cells) + 0.5) * c
             xx, yy = np.meshgrid(centers, centers, indexing="ij")
             occ = (xx**2 + yy**2) <= 1.0
+            pad = np.pad(occ, 1)
+            inner = pad[:-2, 1:-1] & pad[2:, 1:-1] & pad[1:-1, :-2] & pad[1:-1, 2:]
+            layer = int(np.sum(occ & ~inner)) * c * c
             met = RasterMask(occ.astype(int), c, origin=[-1.0, -1.0]).metrics()
-            assert abs(met.volume - math.pi) <= met.error_bounds["volume"]
+            assert abs(met.volume - math.pi) <= layer
 
     def test_hole_detection(self):
         ring = np.ones((5, 5), dtype=int)

@@ -1,5 +1,6 @@
-"""Property tests: spec round trips, membership nesting and the exact
-power-of-two scaling of the discrete lambda1."""
+"""Property tests: spec round trips, membership nesting, the exact
+power-of-two scaling of the discrete lambda1, its invariance under
+translation and its monotonicity under inclusion."""
 
 import json
 import math
@@ -138,3 +139,69 @@ def test_lambda1_scales_exactly_under_power_of_two_dilation(case, k):
     base = _lambda1(domain, h)
     scaled = _lambda1(_scaled(domain, 2.0**k), h * 2.0**k)
     assert scaled * 4.0**k == pytest.approx(base, rel=2 * DEFAULT_TOL)
+
+
+def _translated(domain, shift):
+    params = domain.to_spec()["params"]
+    for key, value in params.items():
+        if key in ("a", "b"):
+            params[key] = value + shift[0]
+        elif key == "bounds":
+            params[key] = (np.asarray(value) + np.c_[shift]).tolist()
+        elif key in ("center", "vertices", "origin"):
+            params[key] = (np.asarray(value) + shift).tolist()
+    return domain_from_spec({"kind": domain.kind, "params": params})
+
+
+# hundredths are not dyadic, so adding one to a coordinate usually rounds
+hundredths = st.integers(-300, 300).map(lambda k: k / 100)
+
+
+@settings(CHEAP, max_examples=30)
+@given(st.sampled_from(SCALED), st.lists(hundredths, min_size=3, max_size=3))
+def test_lambda1_invariant_under_translation(case, shift):
+    # the lattice is anchored at the bounding-box corner and moves with the
+    # domain; only roundoff in the shifted coordinates differs, and it must
+    # not move a boundary point in or out
+    domain, h = case
+    moved = _translated(domain, np.array(shift[: domain.dim]))
+    assert build_grid(moved, h).point_count == build_grid(domain, h).point_count
+    assert _lambda1(moved, h) == pytest.approx(_lambda1(domain, h), rel=2 * DEFAULT_TOL)
+
+
+@st.composite
+def nested_masks(draw):
+    dim = draw(st.integers(2, 3))
+    shape = tuple(draw(st.integers(2, 4)) for _ in range(dim))
+    size = math.prod(shape)
+    outer = np.reshape(draw(st.lists(st.booleans(), min_size=size, max_size=size)), shape)
+    keep = np.reshape(draw(st.lists(st.booleans(), min_size=size, max_size=size)), shape)
+    outer.flat[0] = keep.flat[0] = True
+    origin = [draw(coords) for _ in range(dim)]
+    cell = draw(lengths)
+    inner = RasterMask(outer & keep, cell, origin)
+    return inner, RasterMask(outer, cell, origin), cell / 4.0
+
+
+L_CHAIN = (Box([[0.0, 1.0], [0.0, 1.0]]), Polygon(L_VERTICES), Box([[0.0, 2.0], [0.0, 2.0]]))
+
+
+def _assert_monotone(smaller, larger, h):
+    assert _lambda1(smaller, h) >= _lambda1(larger, h) * (1.0 - 2 * DEFAULT_TOL)
+
+
+@CHEAP
+@given(nested_masks())
+def test_lambda1_monotone_under_inclusion_of_masks(masks):
+    # same shape, origin and cell size give the same lattice, on which the
+    # smaller mask's interior points are a subset of the larger one's
+    _assert_monotone(*masks)
+
+
+@settings(CHEAP, max_examples=10)
+@given(st.integers(3, 16))
+def test_lambda1_monotone_along_box_l_square_chain(per_unit):
+    # the three domains share the corner (0, 0), so their lattices coincide
+    h = 1.0 / per_unit
+    for smaller, larger in zip(L_CHAIN, L_CHAIN[1:]):
+        _assert_monotone(smaller, larger, h)

