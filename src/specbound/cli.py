@@ -76,7 +76,12 @@ def _load_domain(text: str) -> Domain:
         path = Path(candidate)
         if not path.exists():
             raise DomainError(f"domain spec file not found: {candidate}")
-        candidate = path.read_text(encoding="utf-8")
+        try:
+            candidate = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise DomainError(f"cannot read domain spec file {path}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"domain spec file {path} is not UTF-8: {exc.reason}") from None
     try:
         spec = json.loads(candidate)
     except json.JSONDecodeError as exc:

@@ -96,7 +96,7 @@ def refine(
         # memory peak, so that the start vector does not add to it
         if coarse is not None:
             v0 = _prolong(coarse, spectrum.eigenvectors[:, 0], grid)
-        spectrum = smallest_eigenpairs(matrix, k=1, tol=tol, v0=v0)
+        spectrum = smallest_eigenpairs(matrix, tol=tol, v0=v0)
         lams.append(float(spectrum.eigenvalues[0]))
     lams = np.array(lams)
     hs = np.array(spacings)

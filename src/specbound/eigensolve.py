@@ -1,12 +1,11 @@
-"""Smallest eigenpairs of the discrete -Laplacian, with residual certificates.
+"""The smallest eigenpair of the discrete -Laplacian, with a residual certificate.
 
-The solver touches the operator only through products `A @ v`.  Each
-eigenpair comes from its own single-vector LOBPCG loop (Knyazev 2001, SIAM
-J. Sci. Comput. 23(2)), deflated against the eigenvectors already found and
-certified by a residual from a fresh product.  The first eigenvector starts
-from the caller's `v0` or else from the constant vector, which is not
-orthogonal to the one-signed ground state; later ones start from draws with
-a fixed, documented seed, so iteration counts and vectors are reproducible.
+The solver touches the operator only through products `A @ v`.  The ground
+state comes from a single-vector LOBPCG loop (Knyazev 2001, SIAM J. Sci.
+Comput. 23(2)) and is certified by a residual from a fresh product.  It
+starts from the caller's `v0` or else from the constant vector, which is not
+orthogonal to the one-signed ground state.  No start is random, so iteration
+counts and vectors are reproducible.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "smallest_eigenpairs",
 ]
 
-_SEED = 137  # starting-vector seed of the second and later eigenpairs
 DEFAULT_TOL = 1e-10
 _DROPPED = 1e-12  # Gram eigenvalue share below which a direction is roundoff
 
@@ -77,16 +75,17 @@ class WaveField:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues with h^n-orthonormal eigenvectors."""
+    """The ground state: length-1 `eigenvalues` and `residuals` and an
+    (N, 1) `eigenvectors` of h^n-weighted unit norm and positive mean."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray = field(repr=False)  # (N, k)
+    eigenvectors: np.ndarray = field(repr=False)  # (N, 1)
     residuals: np.ndarray
     inner_product_weight: float
 
-    def wavefield(self, grid: Grid, index: int = 0) -> WaveField:
-        """The index-th eigenvector as a normalized WaveField on `grid`."""
-        return WaveField(self.eigenvectors[:, index].copy(), grid)
+    def wavefield(self, grid: Grid) -> WaveField:
+        """The ground state as a normalized WaveField on `grid`."""
+        return WaveField(self.eigenvectors[:, 0].copy(), grid)
 
 
 def rayleigh_quotient(matrix: OperatorMatrix, psi: "WaveField | np.ndarray") -> float:
@@ -98,29 +97,24 @@ def rayleigh_quotient(matrix: OperatorMatrix, psi: "WaveField | np.ndarray") -> 
     return float(values @ (matrix.matrix @ values)) / denom
 
 
-def _deflate(v, basis):
-    for q in basis:
-        v -= (q @ v) * q
-    return v
-
-
-def _lobpcg(a, start, deflation, tol, cap, work):
-    # one eigenpair by Rayleigh-Ritz on span{x, r, p}.  The rows of `work`
-    # hold the iterate x, its residual r and the previous step p, then A x,
-    # A r and A p; A x and A p are carried through the Ritz coefficients,
-    # so a step makes one product, A r.  p starts at zero, a direction that
-    # the Gram rule below drops.
+def _lobpcg(a, start, tol):
+    # the smallest eigenpair by Rayleigh-Ritz on span{x, r, p}.  The rows of
+    # `work` hold the iterate x, its residual r and the previous step p, then
+    # A x, A r and A p; A x and A p are carried through the Ritz
+    # coefficients, so a step makes one product, A r.  p starts at zero, a
+    # direction that the Gram rule below drops.
+    work = np.empty((6, a.shape[0]))
     basis = work[:3]
     x, r, p, ax, ar, ap = work
     x[:] = start
-    norm = math.sqrt(_deflate(x, deflation) @ x)
+    norm = math.sqrt(x @ x)
     if not 0.0 < norm < math.inf:
         raise ValueError("the start vector must be finite and not zero")
     x /= norm
     ax[:] = a @ x
     p[:] = ap[:] = 0.0
     matvecs, best, fresh, failed = 1, math.inf, True, math.inf
-    for step in range(cap):
+    for step in range(4 * a.shape[0] + 100):
         lam = float(x @ ax)
         np.multiply(x, lam, out=r)
         np.subtract(ax, r, out=r)
@@ -128,7 +122,7 @@ def _lobpcg(a, start, deflation, tol, cap, work):
         best = min(best, res)
         if res <= tol * lam:
             if fresh:
-                return lam, x.copy(), res
+                return lam, x, res
             # the carried A x drifts by roundoff; certify from a fresh product
             ax[:] = a @ x
             matvecs, fresh = matvecs + 1, True
@@ -140,7 +134,7 @@ def _lobpcg(a, start, deflation, tol, cap, work):
                 break
             failed = res
         fresh = False
-        ar[:] = a @ _deflate(r, deflation)
+        ar[:] = a @ r
         matvecs += 1
         # one (3, 6) product gives the Gram and the Ritz matrix; it is much
         # faster than basis @ basis.T, which numpy routes to BLAS syrk
@@ -170,7 +164,7 @@ def _lobpcg(a, start, deflation, tol, cap, work):
         x /= norm
         ax /= norm
     raise SolverConvergenceError(
-        f"eigenpair {len(deflation)} did not reach residual {tol * lam:.3e} "
+        f"eigenpair 0 did not reach residual {tol * lam:.3e} "
         f"within {step + 1} iterations ({matvecs} matvecs, best {best:.3e})",
         best_residual=best,
     )
@@ -178,68 +172,37 @@ def _lobpcg(a, start, deflation, tol, cap, work):
 
 def smallest_eigenpairs(
     matrix: OperatorMatrix,
-    k: int,
     tol: float = DEFAULT_TOL,
     v0: np.ndarray | None = None,
 ) -> Spectrum:
-    """Compute the k smallest eigenpairs of an SPD operator matrix.
+    """Compute the ground state, the smallest eigenpair of an SPD operator matrix.
 
-    Each eigenpair satisfies ||A v - lambda v|| <= tol * lambda, checked
-    with a fresh product A v; `tol` must lie in (0, 1).  The first
-    eigenvector starts from `v0`, which must be finite and not zero (else
-    ValueError), or else from the constant vector; later ones start from
-    draws with the fixed seed 137.
+    The pair satisfies ||A v - lambda v|| <= tol * lambda, checked with a
+    fresh product A v; `tol` must lie in (0, 1).  The iteration starts from
+    `v0`, which must be finite and not zero (else ValueError), or else from
+    the constant vector.  The returned vector has a positive mean.
 
-    Raises SolverConvergenceError when an eigenpair takes more than
-    4 N + 100 iterations, or when a fresh residual check fails without
-    improving on the previous failed one, the sign that `tol` is below the
-    roundoff floor.  Without a preconditioner the iteration count grows
-    with the lattice's diameter in steps, which is N on a 1-D or path-like
-    lattice: a cold start on the unit interval at N = 2047 takes about
-    2.4 N.  Fat 2-D and 3-D lattices need far fewer.
+    Raises SolverConvergenceError after 4 N + 100 iterations, or when a
+    fresh residual check fails without improving on the previous failed
+    one, the sign that `tol` is below the roundoff floor.  Without a
+    preconditioner the iteration count grows with the lattice's diameter in
+    steps, which is N on a 1-D or path-like lattice: a cold start on the
+    unit interval at N = 2047 takes about 2.4 N.  Fat 2-D and 3-D lattices
+    need far fewer.
     """
     a = matrix.matrix
-    n = a.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
     if not 0 < tol < 1:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
-    rng = np.random.default_rng(_SEED)
-    cap = 4 * n + 100
-    work = np.empty((6, n))
-    values = []
-    vectors = []
-    residuals = []
-    for j in range(k):
-        if j > 0:
-            start = rng.standard_normal(n)
-        else:
-            start = np.ones(n) if v0 is None else v0
-        lam, v, res = _lobpcg(a, start, vectors, tol, cap, work)
-        values.append(lam)
-        vectors.append(v)
-        residuals.append(res)
-
-    order = np.argsort(values, kind="stable")
-    eigenvalues = np.array([values[i] for i in order])
-    euclid = np.stack([vectors[i] for i in order], axis=1)
-    # ||A v - lambda v|| / ||v||; scale-invariant, so valid for the
-    # h^n-normalized vectors returned below
-    resid = np.array([residuals[i] for i in order])
-
-    # sign conventions: ground state gets a positive mean, the rest get a
-    # positive entry of largest magnitude
-    if euclid[:, 0].sum() < 0:
-        euclid[:, 0] = -euclid[:, 0]
-    for i in range(1, euclid.shape[1]):
-        lead = int(np.argmax(np.abs(euclid[:, i])))
-        if euclid[lead, i] < 0:
-            euclid[:, i] = -euclid[:, i]
-
+    start = np.ones(a.shape[0]) if v0 is None else v0
+    lam, x, res = _lobpcg(a, start, tol)
+    if x.sum() < 0:
+        x = -x
+    # ||A v - lambda v|| / ||v|| is scale-invariant, so it certifies the
+    # h^n-normalized vector too
     weight = matrix.spacing**matrix.dim
     return Spectrum(
-        eigenvalues=eigenvalues,
-        eigenvectors=euclid / math.sqrt(weight),
-        residuals=resid,
+        eigenvalues=np.array([lam]),
+        eigenvectors=(x / math.sqrt(weight))[:, None],
+        residuals=np.array([res]),
         inner_product_weight=weight,
     )

@@ -276,7 +276,7 @@ def certify_bounds(study: ConvergenceStudy, hbar: float = 1.0) -> UncertaintyRep
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
     grid = study.finest_grid
     spectrum = study.finest_spectrum
-    field = spectrum.wavefield(grid, 0)
+    field = spectrum.wavefield(grid)
     n = grid.dim
     metrics = grid.domain.metrics()
     zero = first_zero(n / 2.0 - 1.0)

@@ -146,7 +146,7 @@ def test_criterion_5_spectral_bound(suite_reports):
             h = 1.0 / 8 if domain.dim == 3 else 1.0 / 16
             grid = build_grid(domain, h)
             matrix = assemble(grid)
-            spectrum = smallest_eigenpairs(matrix, k=1)
+            spectrum = smallest_eigenpairs(matrix)
             lam = float(spectrum.eigenvalues[0])
             floor = math.sqrt(lam)
             violations = 0
@@ -157,7 +157,7 @@ def test_criterion_5_spectral_bound(suite_reports):
                 if momentum_stddev(matrix, field) < floor:
                     violations += 1
             assert violations == 0, name
-            ground = spectrum.wavefield(grid, 0)
+            ground = spectrum.wavefield(grid)
             margin = momentum_stddev(matrix, ground) / floor - 1.0
             assert margin <= 1e-8, name
 
@@ -184,7 +184,7 @@ def test_criterion_6_diameter_bounds(core_studies, extra_studies, suite_reports)
 
 
 def test_criterion_7_solver_oracle_equivalence():
-    with criterion(7, "iterative eigenvalues match dense oracle at N <= 200"):
+    with criterion(7, "iterative lambda1 matches dense oracle at N <= 200"):
         shapes = [
             (Interval(0.0, 1.0), 1.0 / 8),
             (Interval(0.0, 1.0), 1.0 / 64),
@@ -199,22 +199,21 @@ def test_criterion_7_solver_oracle_equivalence():
             grid = build_grid(domain, h)
             assert grid.point_count <= 200
             matrix = assemble(grid)
-            k = min(6, grid.point_count)
-            spectrum = smallest_eigenpairs(matrix, k=k)
-            dense = np.linalg.eigvalsh(matrix.matrix.toarray())[:k]
-            assert spectrum.eigenvalues == pytest.approx(dense, rel=1e-8)
+            spectrum = smallest_eigenpairs(matrix)
+            dense = np.linalg.eigvalsh(matrix.matrix.toarray())[0]
+            assert spectrum.eigenvalues[0] == pytest.approx(dense, rel=1e-8)
         # interval matrices against the closed-form spectrum
         for n_points in (7, 15, 31, 63):
             h = 1.0 / (n_points + 1)
             grid = build_grid(Interval(0.0, 1.0), h)
             matrix = assemble(grid)
-            spectrum = smallest_eigenpairs(matrix, k=min(6, n_points))
-            expected = interval_eigenvalues(n_points, h)[: min(6, n_points)]
-            assert spectrum.eigenvalues == pytest.approx(expected, rel=1e-10)
+            spectrum = smallest_eigenpairs(matrix)
+            expected = interval_eigenvalues(n_points, h)[0]
+            assert spectrum.eigenvalues[0] == pytest.approx(expected, rel=1e-10)
 
 
 def test_criterion_8_property_suites(tmp_path, capsys):
-    with criterion(8, "variational, orthonormality, positivity, covariance"):
+    with criterion(8, "variational, unit norm, positivity, covariance"):
         rng = np.random.default_rng(4391)
         for domain, h in (
             (Ball([0.0, 0.0], 1.0), 1.0 / 8),
@@ -223,8 +222,7 @@ def test_criterion_8_property_suites(tmp_path, capsys):
         ):
             grid = build_grid(domain, h)
             matrix = assemble(grid)
-            k = min(4, grid.point_count)
-            spectrum = smallest_eigenpairs(matrix, k=k)
+            spectrum = smallest_eigenpairs(matrix)
             lam1 = float(spectrum.eigenvalues[0])
             # Rayleigh domination, 1000 seeded vectors, zero violations
             violations = 0
@@ -233,16 +231,13 @@ def test_criterion_8_property_suites(tmp_path, capsys):
                 if rayleigh_quotient(matrix, psi) < lam1 * (1.0 - 1e-8):
                     violations += 1
             assert violations == 0
-            # discrete orthonormality at 1e-8
-            gram = spectrum.inner_product_weight * (
-                spectrum.eigenvectors.T @ spectrum.eigenvectors
-            )
-            assert np.max(np.abs(gram - np.eye(k))) <= 1e-8
-            # ground-state positivity after sign normalization
+            # discrete unit norm at 1e-8
             ground = spectrum.eigenvectors[:, 0]
+            assert abs(spectrum.inner_product_weight * (ground @ ground) - 1.0) <= 1e-8
+            # ground-state positivity after sign normalization
             assert np.min(ground) > -1e-10 * np.max(ground)
             # mean momentum vanishes per axis
-            field = spectrum.wavefield(grid, 0)
+            field = spectrum.wavefield(grid)
             assert np.all(
                 np.abs(mean_momentum(field)) <= 1e-10 / grid.spacing
             )

@@ -392,6 +392,8 @@ class TestSweep:
         ragged = dict(good, params=dict(good["params"], mask=[[1, 1], [1]]))
         (masks / "d_ragged.json").write_text(json.dumps(ragged))
         (masks / "e_good.json").write_text(json.dumps(good))
+        (masks / "f_undecodable.json").write_bytes(b"\xff\xfe{")
+        (masks / "g_directory.json").mkdir()
         code, out, _ = run(
             capsys,
             "sweep",
@@ -406,12 +408,15 @@ class TestSweep:
         )
         assert code == 0
         lines = out.strip().split("\n")
-        assert len(lines) == 6
+        assert len(lines) == 8
         rows = {row[1]: row for row in (line.split(",") for line in lines[1:])}
         assert rows["a_good"][-1] == rows["e_good"][-1] == "ok"
-        for name in ("b_bad", "c_bad_cell", "d_ragged"):
+        for name in ("b_bad", "c_bad_cell", "d_ragged", "f_undecodable", "g_directory"):
             assert rows[name][-1].startswith("error:")
             assert len(rows[name]) == len(lines[0].split(","))
+        # an unreadable file's row names the file
+        for name in ("f_undecodable", "g_directory"):
+            assert f"{name}.json" in rows[name][-1]
 
     def test_shared_columns_match_report_csv(self, capsys):
         flags = ("--h-start", "0.25", "--levels", "3")

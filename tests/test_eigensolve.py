@@ -45,7 +45,7 @@ def small_matrices():
 class TestSmallestEigenpairs:
     def test_interval_three_point_closed_form(self):
         grid = build_grid(Interval(0.0, 1.0), 0.25)
-        spectrum = smallest_eigenpairs(assemble(grid), k=1)
+        spectrum = smallest_eigenpairs(assemble(grid))
         assert spectrum.eigenvalues[0] == pytest.approx(
             32.0 - 16.0 * math.sqrt(2.0), rel=1e-12
         )
@@ -56,99 +56,71 @@ class TestSmallestEigenpairs:
         grid = build_grid(RasterMask(mask, cell_size=1.0 / 3.0), 0.25)
         assert grid.point_count == 1
         matrix = assemble(grid)
-        spectrum = smallest_eigenpairs(matrix, k=1)
+        spectrum = smallest_eigenpairs(matrix)
         assert spectrum.eigenvalues[0] == pytest.approx(64.0, rel=1e-13)
         # h^n-weighted normalization: |v| = h^(-n/2) = 1/h for n = 2
         assert abs(spectrum.eigenvectors[0, 0]) == pytest.approx(4.0, rel=1e-13)
 
-    def test_square_degenerate_pair(self, unit_square):
-        grid = build_grid(unit_square, 1.0 / 3.0)
-        spectrum = smallest_eigenpairs(assemble(grid), k=4)
-        assert spectrum.eigenvalues == pytest.approx([18.0, 36.0, 36.0, 54.0], rel=1e-9)
-
     def test_dense_oracle_equivalence(self):
         for grid, matrix in small_matrices():
-            k = min(4, grid.point_count)
-            spectrum = smallest_eigenpairs(matrix, k=k)
-            dense = np.linalg.eigvalsh(matrix.matrix.toarray())[:k]
-            assert spectrum.eigenvalues == pytest.approx(dense, rel=1e-8)
-
-    def test_degenerate_subspace_projector(self, unit_square):
-        # eigenvectors of a repeated eigenvalue are only defined up to
-        # rotation; compare subspace projectors instead
-        grid = build_grid(unit_square, 1.0 / 3.0)
-        matrix = assemble(grid)
-        spectrum = smallest_eigenpairs(matrix, k=4)
-        dense_vals, dense_vecs = np.linalg.eigh(matrix.matrix.toarray())
-        mine = spectrum.eigenvectors[:, 1:3] * math.sqrt(spectrum.inner_product_weight)
-        theirs = dense_vecs[:, 1:3]
-        projector_mine = mine @ mine.T
-        projector_theirs = theirs @ theirs.T
-        assert np.allclose(projector_mine, projector_theirs, atol=1e-8)
+            spectrum = smallest_eigenpairs(matrix)
+            dense = np.linalg.eigvalsh(matrix.matrix.toarray())[0]
+            assert spectrum.eigenvalues[0] == pytest.approx(dense, rel=1e-8)
 
     def test_residual_certificates(self, unit_disk):
         grid = build_grid(unit_disk, 0.125)
         matrix = assemble(grid)
-        spectrum = smallest_eigenpairs(matrix, k=3, tol=1e-10)
-        for i in range(3):
-            v = spectrum.eigenvectors[:, i]
-            lam = spectrum.eigenvalues[i]
-            recomputed = np.linalg.norm(matrix.matrix @ v - lam * v) / np.linalg.norm(v)
-            assert recomputed <= 1e-10 * lam * 1.01
-            assert abs(recomputed - spectrum.residuals[i]) <= 1e-12 * lam
+        spectrum = smallest_eigenpairs(matrix, tol=1e-10)
+        v = spectrum.eigenvectors[:, 0]
+        lam = spectrum.eigenvalues[0]
+        recomputed = np.linalg.norm(matrix.matrix @ v - lam * v) / np.linalg.norm(v)
+        assert recomputed <= 1e-10 * lam * 1.01
+        assert abs(recomputed - spectrum.residuals[0]) <= 1e-12 * lam
 
-    def test_orthonormality_in_weighted_inner_product(self, unit_disk):
+    def test_unit_norm_in_weighted_inner_product(self, unit_disk):
         grid = build_grid(unit_disk, 0.125)
-        spectrum = smallest_eigenpairs(assemble(grid), k=4)
-        gram = spectrum.inner_product_weight * (
-            spectrum.eigenvectors.T @ spectrum.eigenvectors
-        )
-        assert np.allclose(gram, np.eye(4), atol=1e-8)
+        spectrum = smallest_eigenpairs(assemble(grid))
+        assert spectrum.eigenvectors.shape == (grid.point_count, 1)
+        v = spectrum.eigenvectors[:, 0]
+        assert spectrum.inner_product_weight * (v @ v) == pytest.approx(1.0, abs=1e-8)
 
     def test_ground_state_positive_after_sign_fix(self, unit_disk, l_polygon):
         for dom, h in ((unit_disk, 0.125), (l_polygon, 0.125)):
             grid = build_grid(dom, h)
-            spectrum = smallest_eigenpairs(assemble(grid), k=1)
+            spectrum = smallest_eigenpairs(assemble(grid))
             v = spectrum.eigenvectors[:, 0]
             assert v.sum() > 0
             assert np.min(v) > -1e-10 * np.max(v)
 
-    def test_deterministic_for_fixed_seed(self, unit_disk):
+    def test_deterministic_repeat(self, unit_disk):
         grid = build_grid(unit_disk, 0.125)
         matrix = assemble(grid)
-        s1 = smallest_eigenpairs(matrix, k=2)
-        s2 = smallest_eigenpairs(matrix, k=2)
+        s1 = smallest_eigenpairs(matrix)
+        s2 = smallest_eigenpairs(matrix)
         assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
         assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
 
     def test_prolonged_start_matches_seeded_start(self, unit_disk):
         coarse = build_grid(unit_disk, 0.125)
         fine = build_grid(unit_disk, 0.0625)
-        ground = smallest_eigenpairs(assemble(coarse), k=1).eigenvectors[:, 0]
+        ground = smallest_eigenpairs(assemble(coarse)).eigenvectors[:, 0]
         matrix = assemble(fine)
-        warm = smallest_eigenpairs(matrix, k=1, v0=_prolong(coarse, ground, fine))
-        cold = smallest_eigenpairs(matrix, k=1)
+        warm = smallest_eigenpairs(matrix, v0=_prolong(coarse, ground, fine))
+        cold = smallest_eigenpairs(matrix)
         assert warm.eigenvalues[0] == pytest.approx(cold.eigenvalues[0], rel=1e-12)
         assert warm.residuals[0] <= 1e-10 * warm.eigenvalues[0]
-
-    def test_k_out_of_range(self, unit_interval):
-        matrix = assemble(build_grid(unit_interval, 0.25))
-        with pytest.raises(ValueError):
-            smallest_eigenpairs(matrix, k=0)
-        with pytest.raises(ValueError):
-            smallest_eigenpairs(matrix, k=4)
 
     def test_zero_or_nonfinite_start_rejected(self, unit_interval):
         matrix = assemble(build_grid(unit_interval, 0.25))
         for v0 in (np.zeros(3), np.array([1.0, np.nan, 1.0])):
             with pytest.raises(ValueError):
-                smallest_eigenpairs(matrix, k=1, v0=v0)
+                smallest_eigenpairs(matrix, v0=v0)
 
     def test_nonconvergence_reports_best_residual(self, unit_interval):
         h = 0.125
         matrix = assemble(build_grid(unit_interval, h))
         with pytest.raises(SolverConvergenceError) as info:
-            smallest_eigenpairs(matrix, k=1, tol=1e-30)
+            smallest_eigenpairs(matrix, tol=1e-30)
         lam = (4.0 / h**2) * math.sin(math.pi * h / 2.0) ** 2
         assert 0.0 < info.value.best_residual <= 1e-8 * lam
         message = str(info.value)
@@ -159,7 +131,7 @@ class TestSmallestEigenpairs:
         matrix = assemble(build_grid(unit_interval, 0.25))
         for tol in (0.0, -1e-10, 1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="tol"):
-                smallest_eigenpairs(matrix, k=1, tol=tol)
+                smallest_eigenpairs(matrix, tol=tol)
 
     @pytest.mark.parametrize(
         "domain, h, tol",
@@ -185,7 +157,7 @@ class TestSmallestEigenpairs:
 
         counted = dataclasses.replace(matrix, matrix=Counting())
         with pytest.raises(SolverConvergenceError):
-            smallest_eigenpairs(counted, k=1, tol=tol)
+            smallest_eigenpairs(counted, tol=tol)
         assert len(products) < (4 * matrix.shape[0] + 100) / 2
 
     def test_cold_start_on_fine_1d_lattice(self, unit_interval):
@@ -193,13 +165,12 @@ class TestSmallestEigenpairs:
         # count grows like 1/h, about 2.4 N on this cold 1-D lattice
         h = 1.0 / 2048
         matrix = assemble(build_grid(unit_interval, h))
-        spectrum = smallest_eigenpairs(matrix, k=1)
+        spectrum = smallest_eigenpairs(matrix)
         lam = spectrum.eigenvalues[0]
         assert lam == pytest.approx((4.0 / h**2) * math.sin(math.pi * h / 2.0) ** 2, rel=1e-11)
         assert spectrum.residuals[0] <= 1e-10 * lam
 
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_uses_matrix_only_through_matmul(self, unit_disk, k):
+    def test_uses_matrix_only_through_matmul(self, unit_disk):
         # the benchmark's tracer substitutes a proxy that counts `@`
         class MatmulOnly:
             __slots__ = ("shape", "_matrix")
@@ -213,8 +184,8 @@ class TestSmallestEigenpairs:
 
         matrix = assemble(build_grid(unit_disk, 0.125))
         wrapped = dataclasses.replace(matrix, matrix=MatmulOnly(matrix.matrix))
-        plain = smallest_eigenpairs(matrix, k=k)
-        proxied = smallest_eigenpairs(wrapped, k=k)
+        plain = smallest_eigenpairs(matrix)
+        proxied = smallest_eigenpairs(wrapped)
         for name in ("eigenvalues", "eigenvectors", "residuals"):
             assert np.array_equal(getattr(plain, name), getattr(proxied, name))
         assert plain.inner_product_weight == proxied.inner_product_weight
@@ -229,7 +200,7 @@ class TestSmallestEigenpairs:
         lam = {}
         for name, mask in (("full", full), ("bitten", bitten)):
             domain = RasterMask(mask, cell_size=0.25)
-            spectrum = smallest_eigenpairs(assemble(build_grid(domain, h)), k=1)
+            spectrum = smallest_eigenpairs(assemble(build_grid(domain, h)))
             lam[name] = spectrum.eigenvalues[0]
         assert lam["bitten"] >= lam["full"] - 1e-10
 
@@ -244,16 +215,14 @@ class TestRayleighQuotient:
     def test_eigenvector_stationarity(self, unit_disk):
         grid = build_grid(unit_disk, 0.25)
         matrix = assemble(grid)
-        spectrum = smallest_eigenpairs(matrix, k=2)
-        for i in range(2):
-            quotient = rayleigh_quotient(matrix, spectrum.wavefield(grid, i))
-            assert quotient == pytest.approx(spectrum.eigenvalues[i], rel=1e-10)
-        assert spectrum.eigenvalues[1] >= spectrum.eigenvalues[0]
+        spectrum = smallest_eigenpairs(matrix)
+        quotient = rayleigh_quotient(matrix, spectrum.wavefield(grid))
+        assert quotient == pytest.approx(spectrum.eigenvalues[0], rel=1e-10)
 
     def test_dominates_smallest_eigenvalue(self, l_polygon):
         grid = build_grid(l_polygon, 0.25)
         matrix = assemble(grid)
-        lam1 = smallest_eigenpairs(matrix, k=1).eigenvalues[0]
+        lam1 = smallest_eigenpairs(matrix).eigenvalues[0]
         rng = np.random.default_rng(42)
         for _ in range(1000):
             psi = rng.standard_normal(grid.point_count)

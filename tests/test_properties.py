@@ -127,7 +127,7 @@ def _scaled(domain, factor):
 
 
 def _lambda1(domain, h):
-    return float(smallest_eigenpairs(assemble(build_grid(domain, h)), k=1).eigenvalues[0])
+    return float(smallest_eigenpairs(assemble(build_grid(domain, h))).eigenvalues[0])
 
 
 @settings(CHEAP, max_examples=20)

@@ -15,3 +15,29 @@ def test_tracer_installs_and_removes_cleanly(monkeypatch):
     installation.remove()
     assert installation.originals
     assert installation.leftovers() == []
+
+
+def test_tracer_records_every_level_solve(monkeypatch, tmp_path):
+    # the tracer binds each solve's arguments to the solver's signature to
+    # read `tol`; a signature it cannot bind must fail here too
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    from specbound import cli
+
+    tracer = spans.Tracer()
+    installation = spans.install(tracer)
+    try:
+        code = cli.main([
+            "lambda1",
+            "--domain", '{"kind":"interval","dim":1,"params":{"a":0,"b":1}}',
+            "--levels", "3",
+            "--out", str(tmp_path / "out.json"),
+        ])
+    finally:
+        installation.remove()
+    assert code == 0
+    solves = [span for span in tracer.spans if span.name == spans.EIGENSOLVE]
+    assert len(solves) == 3
+    for span in solves:
+        assert 0 < span.info["residual_ratio"] <= 1

@@ -26,8 +26,8 @@ J01 = 2.404825557695773
 def ground_state(domain, h):
     grid = build_grid(domain, h)
     matrix = assemble(grid)
-    spectrum = smallest_eigenpairs(matrix, k=1)
-    return grid, matrix, spectrum, spectrum.wavefield(grid, 0)
+    spectrum = smallest_eigenpairs(matrix)
+    return grid, matrix, spectrum, spectrum.wavefield(grid)
 
 
 class TestMomentumStddev:

@@ -111,6 +111,7 @@ def cases() -> list:
         ("sweep-masks", ["sweep", "--family", "mask-batch", "--mask-dir", "masks", "--levels", "3"], None),
         ("sweep-masks-out", ["sweep", "--family", "mask-batch", "--mask-dir", "masks", "--levels", "3", "--out", "out"], "out"),
         ("sweep-empty-mask-dir", ["sweep", "--family", "mask-batch", "--mask-dir", "empty"], None),
+        ("sweep-masks-unreadable", ["sweep", "--family", "mask-batch", "--mask-dir", "unreadable", "--levels", "3"], None),
         ("sweep-solver-failures", ["sweep", "--family", "rectangle-aspect", "--values", "1,2", "--tol", "1e-30"], None),
         # input errors (exit 2) and non-convergence (exit 3)
         ("error-unknown-kind", ["certify", "--domain", '{"kind":"torus","dim":2,"params":{}}'], None),
@@ -149,6 +150,12 @@ def _prepare(work: Path):
     for name, spec in MASK_FILES.items():
         (work / "masks" / name).write_text(json.dumps(spec), encoding="utf-8")
     (work / "empty").mkdir()
+    # one good file, one that is not UTF-8 and a directory named like a spec
+    unreadable = work / "unreadable"
+    unreadable.mkdir()
+    (unreadable / "a-block.json").write_text(json.dumps(SPECS["mask"]), encoding="utf-8")
+    (unreadable / "b-undecodable.json").write_bytes(b"\xff\xfe{")
+    (unreadable / "c-directory.json").mkdir()
 
 
 def run_case(argv: list, out_name: str | None, work: Path, dest: Path):
