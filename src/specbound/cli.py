@@ -17,12 +17,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from ._format import csv_text, format_float, to_json
 from .convergence import ConvergenceStudy, refine
-from .discretize import GridError
 from .eigensolve import SolverConvergenceError
 from .geometry import (
     Box,
@@ -35,7 +33,7 @@ from .geometry import (
 from .specfun import first_zero
 from .uncertainty import certify_bounds
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
@@ -43,34 +41,19 @@ EXIT_INPUT_ERROR = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the pipeline subcommands."""
-
-    domain_spec: str | None
-    h_start: float
-    levels: int
-    tol: float
-    hbar: float
-    output_format: str
-    output_path: str | None
-
-    def __post_init__(self):
-        if self.levels < 3:
-            raise DomainError(f"levels must be >= 3, got {self.levels}")
-        # a relative residual of 1 or more places lambda anywhere in
-        # [0, 2 theta], so it certifies nothing
-        if not 0 < self.tol < 1:
-            raise DomainError(f"tol must be in (0, 1), got {self.tol}")
-        if not 0 < self.hbar < math.inf:
-            raise DomainError(f"hbar must be positive and finite, got {self.hbar}")
-        if self.output_format not in ("json", "csv"):
-            raise DomainError(f"format must be json or csv, got {self.output_format}")
+def _check_pipeline_flags(args):
+    # the checks that argparse's types and choices do not make
+    if args.levels < 3:
+        raise DomainError(f"levels must be >= 3, got {args.levels}")
+    # a relative residual of 1 or more places lambda anywhere in
+    # [0, 2 theta], so it certifies nothing
+    if not 0 < args.tol < 1:
+        raise DomainError(f"tol must be in (0, 1), got {args.tol}")
+    if not 0 < args.hbar < math.inf:
+        raise DomainError(f"hbar must be positive and finite, got {args.hbar}")
 
 
 def _load_domain(text: str) -> Domain:
-    if text is None:
-        raise DomainError("missing --domain (inline JSON or a path to a JSON file)")
     candidate = text.strip()
     if not candidate.startswith("{"):
         path = Path(candidate)
@@ -110,12 +93,12 @@ def _warn_mask_hypothesis(domain: Domain, stream):
         )
 
 
-def _study_json(domain: Domain, cfg: RunConfig, study: ConvergenceStudy) -> dict:
+def _study_json(domain: Domain, args, study: ConvergenceStudy) -> dict:
     return {
         "domain": domain.to_spec(),
-        "h_start": cfg.h_start,
-        "levels": cfg.levels,
-        "tol": cfg.tol,
+        "h_start": args.h_start,
+        "levels": args.levels,
+        "tol": args.tol,
         "spacings": list(study.spacings),
         "lambda1_values": list(study.lambda1_values),
         "observed_order": study.observed_order,
@@ -126,15 +109,15 @@ def _study_json(domain: Domain, cfg: RunConfig, study: ConvergenceStudy) -> dict
 
 
 def _cmd_lambda1(args) -> int:
-    cfg = _config(args)
-    domain = _load_domain(cfg.domain_spec)
-    stream = _message_stream(cfg.output_path)
+    _check_pipeline_flags(args)
+    domain = _load_domain(args.domain)
+    stream = _message_stream(args.out)
     _warn_mask_hypothesis(domain, stream)
-    study = refine(domain, cfg.h_start, cfg.levels, cfg.tol)
-    if cfg.output_format == "csv":
-        _write_artifact(study.to_csv(), cfg.output_path)
+    study = refine(domain, args.h_start, args.levels, args.tol)
+    if args.format == "csv":
+        _write_artifact(study.to_csv(), args.out)
     else:
-        _write_artifact(to_json(_study_json(domain, cfg, study)) + "\n", cfg.output_path)
+        _write_artifact(to_json(_study_json(domain, args, study)) + "\n", args.out)
     if not study.monotone:
         print("note: lambda1 sequence is not monotone across levels", file=stream)
     print(
@@ -147,15 +130,15 @@ def _cmd_lambda1(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    cfg = _config(args)
-    domain = _load_domain(cfg.domain_spec)
-    stream = _message_stream(cfg.output_path)
+    _check_pipeline_flags(args)
+    domain = _load_domain(args.domain)
+    stream = _message_stream(args.out)
     _warn_mask_hypothesis(domain, stream)
-    report = certify_bounds(refine(domain, cfg.h_start, cfg.levels, cfg.tol), cfg.hbar)
-    if cfg.output_format == "csv":
-        _write_artifact(report.to_csv(), cfg.output_path)
+    report = certify_bounds(refine(domain, args.h_start, args.levels, args.tol), args.hbar)
+    if args.format == "csv":
+        _write_artifact(report.to_csv(), args.out)
     else:
-        _write_artifact(report.to_json(), cfg.output_path)
+        _write_artifact(report.to_json(), args.out)
     for c in report.checks():
         status = "PASS" if c.passed else "FAIL"
         flag = " [equality]" if c.equality else ""
@@ -254,23 +237,23 @@ def _parse_values(text, default):
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _config(args)
+    _check_pipeline_flags(args)
     rows = []
     for param, shape in _sweep_shapes(args):
         row = {"family": args.family, "param": param}
         try:
             if isinstance(shape, Exception):  # a mask file that did not load
                 raise shape
-            study = refine(shape, cfg.h_start, cfg.levels, cfg.tol)
-            report = certify_bounds(study, cfg.hbar)
+            study = refine(shape, args.h_start, args.levels, args.tol)
+            report = certify_bounds(study, args.hbar)
             cells = report.csv_cells()
             row.update(cells, kind=cells["domain_kind"], status="ok")
             row["observed_order"] = study.observed_order
-        except (DomainError, GridError, ValueError, SolverConvergenceError) as exc:
+        except (ValueError, SolverConvergenceError) as exc:
             safe = str(exc).replace(",", ";").replace("\n", " ")
             row["status"] = f"error: {safe}"
         rows.append(row)
-    _write_artifact(csv_text(_SWEEP_COLUMNS, rows), cfg.output_path)
+    _write_artifact(csv_text(_SWEEP_COLUMNS, rows), args.out)
     return EXIT_OK
 
 
@@ -278,18 +261,6 @@ def _cmd_dump_spec(args) -> int:
     domain = _load_domain(args.domain)
     _write_artifact(to_json(domain.to_spec()) + "\n", args.out)
     return EXIT_OK
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        domain_spec=getattr(args, "domain", None),
-        h_start=args.h_start,
-        levels=args.levels,
-        tol=args.tol,
-        hbar=args.hbar,
-        output_format=args.format,
-        output_path=args.out,
-    )
 
 
 def _add_pipeline_flags(sub, with_domain=True):
@@ -348,9 +319,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (DomainError, GridError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except SolverConvergenceError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

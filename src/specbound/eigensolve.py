@@ -27,11 +27,13 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 _DROPPED = 1e-12  # Gram eigenvalue share below which a direction is roundoff
+_IDLE = 64  # fewest iterations without a new best that can end a solve
 
 
 class SolverConvergenceError(RuntimeError):
     """Residual target not reached: the iteration cap was hit, or a fresh
-    residual check failed without improving on the previous failed one.
+    residual check failed without improving on the previous failed one or
+    after a long stall.
 
     `best_residual` is the smallest ||A v - lambda v|| seen in any
     iteration.  Most are computed from the carried product A v, which near
@@ -113,26 +115,33 @@ def _lobpcg(a, start, tol):
     x /= norm
     ax[:] = a @ x
     p[:] = ap[:] = 0.0
-    matvecs, best, fresh, failed = 1, math.inf, True, math.inf
+    matvecs, fresh, failed = 1, True, math.inf
+    best, lowest, improved = math.inf, math.inf, 0
     for step in range(4 * a.shape[0] + 100):
         lam = float(x @ ax)
         np.multiply(x, lam, out=r)
         np.subtract(ax, r, out=r)
         res = math.sqrt(r @ r)
-        best = min(best, res)
-        if res <= tol * lam:
-            if fresh:
-                return lam, x, res
-            # the carried A x drifts by roundoff; certify from a fresh product
+        if res < best or lam < lowest:
+            best, lowest, improved = min(best, res), min(lowest, lam), step
+        # no new best residual or lambda in the latter half of the run.  A
+        # converging solve, even a cold 1-D one whose residual rises for
+        # hundreds of steps, keeps lowering lambda
+        stalled = step - improved >= max(_IDLE, step / 2)
+        if res <= tol * lam and fresh:
+            return lam, x, res
+        if fresh and step > 0:
+            # a fresh check failed.  Below the roundoff floor the carried
+            # residual keeps passing while the fresh ones stop improving,
+            # or it stalls above the target and passes no more
+            if res >= failed or stalled:
+                break
+            failed = res
+        elif res <= tol * lam or stalled:
+            # the carried A x drifts by roundoff; check from a fresh product
             ax[:] = a @ x
             matvecs, fresh = matvecs + 1, True
             continue
-        if fresh and step > 0:
-            # a fresh check failed.  Below the roundoff floor the carried
-            # residual keeps passing while the fresh ones stop improving
-            if res >= failed:
-                break
-            failed = res
         fresh = False
         ar[:] = a @ r
         matvecs += 1
@@ -184,11 +193,12 @@ def smallest_eigenpairs(
 
     Raises SolverConvergenceError after 4 N + 100 iterations, or when a
     fresh residual check fails without improving on the previous failed
-    one, the sign that `tol` is below the roundoff floor.  Without a
-    preconditioner the iteration count grows with the lattice's diameter in
-    steps, which is N on a 1-D or path-like lattice: a cold start on the
-    unit interval at N = 2047 takes about 2.4 N.  Fat 2-D and 3-D lattices
-    need far fewer.
+    one, or when it fails after the latter half of the iterations (and at
+    least 64) set no new best residual or lambda: signs that `tol` is below
+    the roundoff floor.  Without a preconditioner the iteration count grows
+    with the lattice's diameter in steps, which is N on a 1-D or path-like
+    lattice: a cold start on the unit interval at N = 2047 takes about
+    2.4 N.  Fat 2-D and 3-D lattices need far fewer.
     """
     a = matrix.matrix
     if not 0 < tol < 1:

@@ -10,6 +10,7 @@ shape parameters, so instances are safe to share across threads.
 
 from __future__ import annotations
 
+import inspect
 import math
 from abc import ABC, abstractmethod
 from collections import deque
@@ -83,7 +84,12 @@ class DomainMetrics:
 
 
 class Domain(ABC):
-    """A compact region of R^n with an inclusive (closed) membership test."""
+    """A compact region of R^n with an inclusive (closed) membership test.
+
+    A subclass keeps each constructor argument, normalized, in an attribute
+    of the same name; `to_spec` and `domain_from_spec` read its spec from
+    the constructor's signature.
+    """
 
     kind = "domain"
 
@@ -130,9 +136,13 @@ class Domain(ABC):
     def metrics(self) -> DomainMetrics:
         """Volume, diameter and (in 2-D) perimeter."""
 
-    @abstractmethod
     def to_spec(self) -> dict:
         """JSON-serializable description; inverse of `domain_from_spec`."""
+        params = {}
+        for name in inspect.signature(type(self)).parameters:
+            value = getattr(self, name)
+            params[name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return {"kind": self.kind, "dim": self.dim, "params": params}
 
     def __eq__(self, other):
         return type(other) is type(self) and other.to_spec() == self.to_spec()
@@ -163,9 +173,6 @@ class Interval(Domain):
         length = self.b - self.a
         return DomainMetrics(volume=length, diameter=length)
 
-    def to_spec(self):
-        return {"kind": self.kind, "dim": 1, "params": {"a": self.a, "b": self.b}}
-
 
 class Box(Domain):
     """An axis-aligned box given by per-axis bounds [[lo, hi], ...]."""
@@ -191,13 +198,6 @@ class Box(Domain):
             diameter=float(np.linalg.norm(sides)),
             perimeter=2.0 * float(sides.sum()) if self.dim == 2 else None,
         )
-
-    def to_spec(self):
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "params": {"bounds": self.bounds.tolist()},
-        }
 
 
 def _in_box(points, box, strict):
@@ -234,13 +234,6 @@ class Ball(Domain):
             diameter=2.0 * self.radius,
             perimeter=2.0 * math.pi * self.radius if self.dim == 2 else None,
         )
-
-    def to_spec(self):
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "params": {"center": self.center.tolist(), "radius": self.radius},
-        }
 
 
 def _agm_ellipse_perimeter(a: float, b: float) -> float:
@@ -291,16 +284,6 @@ class Ellipse(Domain):
             diameter=2.0 * float(np.max(self.semi_axes)),
             perimeter=_agm_ellipse_perimeter(*self.semi_axes) if self.dim == 2 else None,
         )
-
-    def to_spec(self):
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "params": {
-                "center": self.center.tolist(),
-                "semi_axes": self.semi_axes.tolist(),
-            },
-        }
 
 
 class Polygon(Domain):
@@ -353,16 +336,11 @@ class Polygon(Domain):
         area = 0.5 * _shoelace(verts)
         edge = np.roll(verts, -1, axis=0) - verts
         perimeter = float(np.sum(np.hypot(edge[:, 0], edge[:, 1])))
-        diff = verts[:, None, :] - verts[None, :, :]
-        diameter = float(np.sqrt(np.max(np.sum(diff**2, axis=-1))))
-        return DomainMetrics(volume=float(area), diameter=diameter, perimeter=perimeter)
-
-    def to_spec(self):
-        return {
-            "kind": self.kind,
-            "dim": 2,
-            "params": {"vertices": self.vertices.tolist()},
-        }
+        return DomainMetrics(
+            volume=float(area),
+            diameter=_max_pairwise_distance(verts),
+            perimeter=perimeter,
+        )
 
 
 def _shoelace(verts: np.ndarray) -> float:
@@ -418,9 +396,13 @@ class RasterMask(Domain):
         hi = self.origin + np.array(occ.shape) * self.cell_size
         super().__init__(dim, np.stack([self.origin, hi], axis=1))
 
+    @property
+    def mask(self) -> np.ndarray:
+        """The occupancy array as 0/1 integers."""
+        return self.occupied.astype(int)
+
     def _cells_covering(self, points, offset):
-        idx = np.floor((points - self.origin) / self.cell_size + offset).astype(int)
-        return idx
+        return np.floor((points - self.origin) / self.cell_size + offset).astype(int)
 
     def _membership(self, points, strict):
         eps = 1e-9  # in cell units; lattice points sit exactly on cell faces
@@ -493,17 +475,6 @@ class RasterMask(Domain):
                             queue.append(nb)
         return bool(np.any(~occ & ~seen))
 
-    def to_spec(self):
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "params": {
-                "mask": self.occupied.astype(int).tolist(),
-                "cell_size": self.cell_size,
-                "origin": self.origin.tolist(),
-            },
-        }
-
 
 def _neighbor_views(occ: np.ndarray):
     """The 2 * ndim views of `occ` shifted by one cell along each axis, with
@@ -534,8 +505,9 @@ _KINDS = {cls.kind: cls for cls in (Interval, Box, Ball, Ellipse, Polygon, Raste
 def domain_from_spec(spec: dict) -> Domain:
     """Build a Domain from its JSON description.
 
-    Expected shape: {"kind": ..., "dim": n, "params": {...}} with parameter
-    names as produced by `Domain.to_spec`.
+    Expected shape: {"kind": ..., "dim": n, "params": {...}}, where `params`
+    holds the arguments of the kind's constructor by name; those with a
+    default may be left out.
     """
     if not isinstance(spec, dict):
         raise DomainError("domain spec must be a JSON object")
@@ -550,21 +522,13 @@ def domain_from_spec(spec: dict) -> Domain:
     params = spec.get("params")
     if not isinstance(params, dict):
         raise DomainError("domain spec is missing the 'params' object")
+    cls = _KINDS[kind]
     try:
-        if kind == "interval":
-            domain = Interval(params["a"], params["b"])
-        elif kind == "box":
-            domain = Box(params["bounds"])
-        elif kind == "ball":
-            domain = Ball(params["center"], params["radius"])
-        elif kind == "ellipse":
-            domain = Ellipse(params["center"], params["semi_axes"])
-        elif kind == "polygon":
-            domain = Polygon(params["vertices"])
-        else:
-            domain = RasterMask(
-                params["mask"], params["cell_size"], params.get("origin")
-            )
+        args = [
+            params[arg.name] if arg.default is arg.empty else params.get(arg.name, arg.default)
+            for arg in inspect.signature(cls).parameters.values()
+        ]
+        domain = cls(*args)
     except KeyError as exc:
         raise DomainError(f"domain spec params are missing field {exc}") from None
     except DomainError:

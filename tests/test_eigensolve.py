@@ -138,13 +138,15 @@ class TestSmallestEigenpairs:
         [
             (Box([[0.0, 1.0], [0.0, 1.0]]), 1.0 / 8, 1e-15),
             (Ball([0.0, 0.0], 1.0), 1.0 / 16, 1e-14),
+            (Ball([0.0, 0.0], 1.0), 1.0 / 8, 1e-15),
         ],
-        ids=["square", "disk"],
+        ids=["square", "disk", "disk-below-carried-floor"],
     )
     def test_tol_below_roundoff_floor_stops_early(self, domain, h, tol):
-        # the carried residual dips below tol * lambda, the fresh ones
-        # cannot: the solve must stop once a fresh check fails to improve,
-        # not grind on to the 4 N + 100 cap
+        # the fresh residuals cannot reach tol * lambda, and in the last
+        # case not even the carried one does: the solve must stop once a
+        # fresh check fails to improve or the residual stalls, not grind on
+        # to the 4 N + 100 cap
         matrix = assemble(build_grid(domain, h))
         products = []
 

@@ -14,6 +14,7 @@ from specbound import (
     domain_from_spec,
     unit_ball_volume,
 )
+from specbound._format import to_json
 from specbound.geometry import _agm_ellipse_perimeter
 
 from conftest import L_VERTICES
@@ -216,6 +217,44 @@ class TestSpecRoundTrip:
         again = domain_from_spec(dom.to_spec())
         assert again == dom
         assert again.to_spec() == dom.to_spec()
+
+    @pytest.mark.parametrize(
+        "make, text",
+        [
+            (
+                lambda: Interval(-0.5, 2.0),
+                '{"kind": "interval", "dim": 1, "params": {"a": -0.5, "b": 2}}',
+            ),
+            (
+                lambda: Box([[0, 2], [0, 1], [-1, 0.5]]),
+                '{"kind": "box", "dim": 3, "params": {"bounds": [[0, 2], [0, 1], [-1, 0.5]]}}',
+            ),
+            (
+                lambda: Ball([0.5, -0.5], 0.75),
+                '{"kind": "ball", "dim": 2, "params": {"center": [0.5, -0.5], "radius": 0.75}}',
+            ),
+            (
+                lambda: Ellipse([0, 0, 1], [1, 0.5, 0.25]),
+                '{"kind": "ellipse", "dim": 3, "params": '
+                '{"center": [0, 0, 1], "semi_axes": [1, 0.5, 0.25]}}',
+            ),
+            (
+                lambda: Polygon(L_VERTICES),
+                '{"kind": "polygon", "dim": 2, "params": '
+                '{"vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]}}',
+            ),
+            (
+                lambda: RasterMask([[1, 1], [1, 0]], 0.5),
+                '{"kind": "raster-mask", "dim": 2, "params": '
+                '{"mask": [[1, 1], [1, 0]], "cell_size": 0.5, "origin": [0, 0]}}',
+            ),
+        ],
+        ids=["interval", "box", "ball", "ellipse", "polygon", "raster-mask"],
+    )
+    def test_spec_bytes(self, make, text):
+        # the key order comes from the constructor's signature; artifacts
+        # embed these bytes, so a reordered parameter must fail here
+        assert to_json(make().to_spec()) == text
 
     def test_missing_kind_names_field(self):
         with pytest.raises(DomainError, match="kind"):

@@ -138,6 +138,8 @@ def cases() -> list:
         ("error-bad-polygon", ["dump-spec", "--domain", '{"kind":"polygon","dim":2,"params":{"vertices":[[0,0],[0,1],[1,0]]}}'], None),
         ("error-out-dir-absent", ["bessel-zeros", "--out", "absent/out"], None),
         ("nonconvergence-tol", ["lambda1", "--domain", _spec("disk"), "--tol", "1e-13"], None),
+        # a tol below even the carried residual's floor
+        ("nonconvergence-floor", ["lambda1", "--domain", _spec("disk"), "--h-start", "0.03125", "--levels", "3", "--tol", "1e-14"], None),
     ]
     return runs
 
