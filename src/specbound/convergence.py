@@ -8,6 +8,7 @@ order, and the error estimate is the gap between the last two extrapolants.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ from .discretize import (
     assemble,
     build_grid,
 )
-from .eigensolve import DEFAULT_TOL, Spectrum, smallest_eigenpairs
+from .eigensolve import DEFAULT_TOL, Spectrum, _v_cycle, smallest_eigenpairs
 from .geometry import Domain
 from ._format import csv_text
 
@@ -87,16 +88,19 @@ def refine(
                 f"level h={h} has {lattice} lattice points, above the cap {_POINT_CAP}"
             )
         spacings.append(h)
-    lams = []
-    grid = v0 = None
+    lams, grids, matrices = [], [], []
+    v0 = precondition = None
     for h in spacings:
-        coarse, grid = grid, build_grid(domain, h)
+        grid = build_grid(domain, h)
         matrix = assemble(grid)
+        grids.append(grid)
+        matrices.append(matrix)
         # prolonged after assembly, whose transient storage is the level's
         # memory peak, so that the start vector does not add to it
-        if coarse is not None:
-            v0 = _prolong(coarse, spectrum.eigenvectors[:, 0], grid)
-        spectrum = smallest_eigenpairs(matrix, tol=tol, v0=v0)
+        if len(grids) > 1:
+            v0 = _prolong(grids[-2], spectrum.eigenvectors[:, 0], grid)
+            precondition = functools.partial(_v_cycle, grids[:], matrices[:])
+        spectrum = smallest_eigenpairs(matrix, tol=tol, v0=v0, precondition=precondition)
         lams.append(float(spectrum.eigenvalues[0]))
     lams = np.array(lams)
     hs = np.array(spacings)

@@ -8,6 +8,7 @@ homogeneous Dirichlet condition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,11 +56,12 @@ class Grid:
         """Interior-index pairs (src, dst) with dst = src shifted by `step`
         lattice cells along `axis`; pairs whose target is omitted are
         dropped."""
-        multi = np.array(np.unravel_index(self.interior_flat, self.shape)).T
-        multi[:, axis] += step
-        valid = (multi[:, axis] >= 0) & (multi[:, axis] < self.shape[axis])
-        flat = np.ravel_multi_index(tuple(multi[valid].T), self.shape)
-        dst = self.index_of[flat]
+        # row-major: a point's coordinate along `axis` is (flat // stride)
+        # % shape[axis], and a shift of `step` adds step * stride to flat
+        stride = math.prod(self.shape[axis + 1:])
+        coord = (self.interior_flat // stride) % self.shape[axis] + step
+        valid = (coord >= 0) & (coord < self.shape[axis])
+        dst = self.index_of[self.interior_flat[valid] + step * stride]
         src = np.nonzero(valid)[0][dst >= 0]
         return src, dst[dst >= 0]
 
@@ -99,25 +101,62 @@ def _lattice_shape(domain: Domain, h: float) -> tuple:
     return tuple(int(np.floor(c + 1e-9)) + 1 for c in counts)
 
 
+def _interpolate(c: np.ndarray, n: int) -> np.ndarray:
+    """The 1-D interpolation along axis 0 onto `n` fine points:
+    fine[m] = (c[m // 2] + c[(m + 1) // 2]) / 2, with an index past the end
+    of `c` clipped to its last one."""
+    out = np.empty((n,) + c.shape[1:])
+    out[0::2] = c[: (n + 1) // 2]
+    odd = out[1::2]
+    # odd points between two coarse points, then at most one past the last
+    k = min(n // 2, c.shape[0] - 1)
+    odd[:k] = 0.5 * (c[:k] + c[1 : k + 1])
+    odd[k:] = c[k : n // 2]
+    return out
+
+
+def _interpolate_transpose(f: np.ndarray, n: int) -> np.ndarray:
+    """The transpose of `_interpolate(., f.shape[0])` from `n` coarse points."""
+    out = np.zeros((n,) + f.shape[1:])
+    even, odd = f[0::2], f[1::2]
+    out[: even.shape[0]] = even
+    k = min(odd.shape[0], n - 1)
+    half = 0.5 * odd[:k]
+    out[:k] += half
+    out[1 : k + 1] += half
+    out[k : odd.shape[0]] += odd[k:]
+    return out
+
+
+def _transfer(operator, source: Grid, values: np.ndarray, target: Grid) -> np.ndarray:
+    # apply a 1-D operator along each axis of the box lattice, where
+    # omitted points hold zero (the Dirichlet value)
+    box = np.zeros(source.shape)
+    box.flat[source.interior_flat] = values
+    for axis, n in enumerate(target.shape):
+        box = operator(box.swapaxes(0, axis), n).swapaxes(0, axis)
+    return box.ravel()[target.interior_flat]
+
+
 def _prolong(coarse: Grid, values: np.ndarray, fine: Grid) -> np.ndarray:
     """Interpolate a field on the interior points of `coarse` onto those of
     `fine`, the same domain at half the spacing.
 
     Both lattices start at the bounding-box corner, so fine index m sits at
-    coarse index m/2 on every axis.  Omitted coarse points count as zero
-    (the Dirichlet value).  Where the spacing does not divide a box edge,
-    the last fine index can lie past the coarse lattice; it is clipped to
-    the last coarse index.
+    coarse index m/2 on every axis, and the interpolation is 1-D and linear
+    along each axis in turn.  Omitted coarse points count as zero (the
+    Dirichlet value).  Where the spacing does not divide a box edge, the
+    last fine index can lie past the coarse lattice; it is clipped to the
+    last coarse index.
     """
-    box = np.zeros(coarse.shape)
-    box.flat[coarse.interior_flat] = values
-    for axis, n in enumerate(fine.shape):
-        m = np.arange(n)
-        last = coarse.shape[axis] - 1
-        lo = np.minimum(m // 2, last)
-        hi = np.minimum((m + 1) // 2, last)
-        box = 0.5 * (np.take(box, lo, axis=axis) + np.take(box, hi, axis=axis))
-    return box.ravel()[fine.interior_flat]
+    return _transfer(_interpolate, coarse, values, fine)
+
+
+def _restrict(fine: Grid, values: np.ndarray, coarse: Grid) -> np.ndarray:
+    """The transpose of `_prolong(coarse, ., fine)`: a field on the interior
+    points of `fine` summed onto those of `coarse` with the interpolation
+    weights."""
+    return _transfer(_interpolate_transpose, fine, values, coarse)
 
 
 def build_grid(domain: Domain, h: float) -> Grid:
@@ -157,20 +196,20 @@ def assemble(grid: Grid) -> OperatorMatrix:
     """
     n = grid.point_count
     h2 = grid.spacing * grid.spacing
-    rows, cols = [], []
+    # one set of triplets, the diagonal first, converted once: summing a
+    # separate diagonal matrix held a second copy of the stencil at the
+    # level's memory peak
+    diagonal = np.arange(n)
+    rows, cols = [diagonal], [diagonal]
     for axis in range(grid.dim):
         for step in (-1, 1):
             src, dst = grid.neighbor_pairs(axis, step)
             rows.append(src)
             cols.append(dst)
-    rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-    cols = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-    off = sparse.coo_matrix(
-        (np.full(rows.shape[0], -1.0 / h2), (rows, cols)), shape=(n, n)
-    )
-    diag = sparse.dia_matrix(
-        (np.full(n, 2.0 * grid.dim / h2)[None, :], [0]), shape=(n, n)
-    )
-    matrix = (off + diag).tocsr()
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    values = np.full(rows.shape[0], -1.0 / h2)
+    values[:n] = 2.0 * grid.dim / h2
+    matrix = sparse.csr_matrix((values, (rows, cols)), shape=(n, n))
     matrix.sort_indices()
     return OperatorMatrix(matrix=matrix, spacing=grid.spacing, dim=grid.dim)

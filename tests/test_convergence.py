@@ -8,6 +8,7 @@ from specbound import (
     Box,
     Interval,
     Polygon,
+    RasterMask,
     assemble,
     build_grid,
     refine,
@@ -92,6 +93,45 @@ def test_warm_start_keeps_each_level(domain):
         assert lam == pytest.approx(cold.eigenvalues[0], rel=1e-12)
     finest = study.finest_spectrum
     assert finest.residuals[0] <= DEFAULT_TOL * finest.eigenvalues[0]
+
+
+@pytest.mark.parametrize(
+    "domain, h_start, levels",
+    [
+        (Ball([0.0, 0.0], 1.0), 1.0 / 16, 4),
+        (RasterMask([[1, 1, 1], [1, 0, 1], [1, 1, 1]], cell_size=0.25), 1.0 / 8, 4),
+        (Ball([0.0, 0.0, 0.0], 1.0), 0.25, 3),
+    ],
+    ids=["disk", "mask-with-hole", "ball3"],
+)
+def test_finer_levels_are_preconditioned(monkeypatch, domain, h_start, levels):
+    # level 0 runs unpreconditioned; each finer level applies its V-cycle a
+    # number of times that does not grow as h halves, and reaches the
+    # eigenvalue that the unpreconditioned solver finds from the same start
+    solves = []
+
+    def counting(matrix, tol, v0, precondition):
+        calls = []
+
+        def counted(r):
+            calls.append(1)
+            return precondition(r)
+
+        spectrum = smallest_eigenpairs(
+            matrix, tol=tol, v0=v0, precondition=None if precondition is None else counted
+        )
+        solves.append((matrix, tol, v0, precondition, len(calls), spectrum))
+        return spectrum
+
+    monkeypatch.setattr(convergence, "smallest_eigenpairs", counting)
+    refine(domain, h_start, levels)
+    assert len(solves) == levels
+    assert solves[0][3] is None and solves[0][2] is None
+    for matrix, tol, v0, precondition, calls, spectrum in solves[1:]:
+        assert 0 < calls <= 25
+        lam = spectrum.eigenvalues[0]
+        plain = smallest_eigenpairs(matrix, tol=tol, v0=v0)
+        assert abs(lam - plain.eigenvalues[0]) <= tol * lam
 
 
 class TestStudyShape:

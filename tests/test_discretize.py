@@ -2,15 +2,30 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from specbound import (
+    Ball,
     Box,
     GridError,
+    Interval,
+    Polygon,
     RasterMask,
     assemble,
     build_grid,
 )
-from specbound.discretize import _prolong
+from specbound.discretize import _prolong, _restrict
+
+from conftest import L_VERTICES
+
+# (domain, coarse spacing); the 3-ball's 0.3 divides no box edge, so its
+# finest fine index is clipped onto the last coarse one
+TRANSFER_CASES = [
+    (Ball([0.0, 0.0], 1.0), 0.125),
+    (Polygon(L_VERTICES), 0.125),
+    (Ball([0.0, 0.0, 0.0], 1.0), 0.3),
+]
+TRANSFER_IDS = ["disk", "l-shape", "ball3-non-dividing"]
 
 
 def interval_eigenvalues(n_points, h):
@@ -82,7 +97,58 @@ class TestBuildGrid:
             build_grid(sliver, 0.3)
 
 
+class TestNeighborPairs:
+    @staticmethod
+    def reference(grid, axis, step):
+        # the shift done on lattice multi-indices
+        multi = np.array(np.unravel_index(grid.interior_flat, grid.shape)).T
+        multi[:, axis] += step
+        valid = (multi[:, axis] >= 0) & (multi[:, axis] < grid.shape[axis])
+        flat = np.ravel_multi_index(tuple(multi[valid].T), grid.shape)
+        dst = grid.index_of[flat]
+        src = np.nonzero(valid)[0][dst >= 0]
+        return src, dst[dst >= 0]
+
+    @pytest.mark.parametrize(
+        "domain, h",
+        TRANSFER_CASES + [(Interval(0.0, 1.0), 0.125), (Box([[0.0, 1.0]] * 3), 0.125)],
+        ids=TRANSFER_IDS + ["interval", "cube"],
+    )
+    def test_matches_multi_index_reference(self, domain, h):
+        grid = build_grid(domain, h)
+        for axis in range(grid.dim):
+            for step in (-1, 1):
+                src, dst = grid.neighbor_pairs(axis, step)
+                ref_src, ref_dst = self.reference(grid, axis, step)
+                assert np.array_equal(src, ref_src)
+                assert np.array_equal(dst, ref_dst)
+
+
 class TestAssemble:
+    @pytest.mark.parametrize(
+        "domain, h",
+        TRANSFER_CASES + [
+            (Interval(0.0, 1.0), 0.125),
+            (RasterMask([[0, 0, 0], [0, 1, 0], [0, 0, 0]], 1.0 / 3), 0.25),
+        ],
+        ids=TRANSFER_IDS + ["interval", "one-point"],
+    )
+    def test_matches_summed_reference(self, domain, h):
+        # the stencil as the sum of an off-diagonal and a diagonal matrix
+        grid = build_grid(domain, h)
+        n, h2 = grid.point_count, h * h
+        pairs = [grid.neighbor_pairs(axis, step) for axis in range(grid.dim) for step in (-1, 1)]
+        rows = np.concatenate([src for src, _ in pairs])
+        cols = np.concatenate([dst for _, dst in pairs])
+        off = sparse.coo_matrix((np.full(rows.shape[0], -1.0 / h2), (rows, cols)), shape=(n, n))
+        diag = sparse.dia_matrix((np.full(n, 2.0 * grid.dim / h2)[None, :], [0]), shape=(n, n))
+        reference = (off + diag).tocsr()
+        reference.sort_indices()
+        matrix = assemble(grid).matrix
+        for name in ("indptr", "indices", "data"):
+            assert getattr(matrix, name).dtype == getattr(reference, name).dtype
+            assert np.array_equal(getattr(matrix, name), getattr(reference, name))
+
     def test_interval_tridiagonal(self, unit_interval):
         matrix = assemble(build_grid(unit_interval, 0.25))
         dense = matrix.matrix.toarray()
@@ -200,6 +266,39 @@ class TestProlong:
         assert even.sum() > 0
         assert np.all(coarse.index_of[flat] >= 0)
         assert np.array_equal(out[even], values[coarse.index_of[flat]])
+
+    @pytest.mark.parametrize(
+        "domain, h", TRANSFER_CASES + [(Box([[0.0, 0.7], [0.0, 1.3]]), 0.1)],
+        ids=TRANSFER_IDS + ["box-non-dividing"],
+    )
+    def test_matches_take_reference(self, domain, h):
+        def reference(coarse, values, fine):
+            # the interpolation as two gathers per axis
+            box = np.zeros(coarse.shape)
+            box.flat[coarse.interior_flat] = values
+            for axis, n in enumerate(fine.shape):
+                m = np.arange(n)
+                last = coarse.shape[axis] - 1
+                lo = np.minimum(m // 2, last)
+                hi = np.minimum((m + 1) // 2, last)
+                box = 0.5 * (np.take(box, lo, axis=axis) + np.take(box, hi, axis=axis))
+            return box.ravel()[fine.interior_flat]
+
+        coarse, fine = build_grid(domain, h), build_grid(domain, h / 2)
+        values = np.random.default_rng(3).standard_normal(coarse.point_count)
+        assert np.array_equal(_prolong(coarse, values, fine), reference(coarse, values, fine))
+
+    @pytest.mark.parametrize("domain, h", TRANSFER_CASES, ids=TRANSFER_IDS)
+    def test_restrict_is_adjoint(self, domain, h):
+        coarse, fine = build_grid(domain, h), build_grid(domain, h / 2)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            v = rng.standard_normal(coarse.point_count)
+            w = rng.standard_normal(fine.point_count)
+            restricted = _restrict(fine, w, coarse)
+            assert restricted.shape == (coarse.point_count,)
+            left, right = _prolong(coarse, v, fine) @ w, v @ restricted
+            assert left == pytest.approx(right, rel=1e-12)
 
     def test_non_dividing_spacing(self, unit_ball3):
         coarse = build_grid(unit_ball3, 0.3)

@@ -19,6 +19,7 @@ from specbound import (
 )
 
 from specbound.discretize import _prolong
+from specbound.eigensolve import _v_cycle
 
 from conftest import L_VERTICES
 
@@ -109,6 +110,13 @@ class TestSmallestEigenpairs:
         cold = smallest_eigenpairs(matrix)
         assert warm.eigenvalues[0] == pytest.approx(cold.eigenvalues[0], rel=1e-12)
         assert warm.residuals[0] <= 1e-10 * warm.eigenvalues[0]
+
+    def test_v_cycle_maps_zero_to_zero(self, unit_disk, unit_ball3):
+        # the coarsest level's conjugate gradients must not divide 0 by 0
+        for domain in (unit_disk, unit_ball3):
+            grids = [build_grid(domain, h) for h in (0.25, 0.125, 0.0625)]
+            zero = np.zeros(grids[-1].point_count)
+            assert np.array_equal(_v_cycle(grids, [assemble(g) for g in grids], zero), zero)
 
     def test_zero_or_nonfinite_start_rejected(self, unit_interval):
         matrix = assemble(build_grid(unit_interval, 0.25))

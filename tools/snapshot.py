@@ -1,6 +1,7 @@
-"""Capture every CLI artifact of this source tree for a byte-identity check.
+"""Capture every CLI artifact of this source tree, and compare two captures.
 
     python3 tools/snapshot.py OUTDIR
+    python3 tools/snapshot.py --compare A B
 
 Runs `specbound.cli.main` in-process on a fixed list of cases covering all
 five subcommands, including input errors and solver non-convergence, and
@@ -14,6 +15,15 @@ To check that a change leaves every artifact as it was, run the script from
 the parent commit's checkout and from the changed one into two directories
 and compare them with `diff -r`; it prints nothing when they agree.  A run
 takes about 30 s on a 2-core machine.
+
+A change that may move the last digits of a result, such as a different
+solver path, is checked with `--compare A B` instead.  It requires the same
+cases, identical `exit` files, identical text once every number is masked
+(so no PASS/FAIL, `[equality]` flag or true/false field can move), and
+every pair of numbers within 1e-8 relative or 1e-12 absolute.  The one
+exception is the solver's own account in a non-convergence message
+("within N iterations (M matvecs, best R)"), which depends on the path the
+solver took.  It prints each offending case and exits 1, or exits 0.
 """
 
 from __future__ import annotations
@@ -21,7 +31,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -175,10 +187,56 @@ def run_case(argv: list, out_name: str | None, work: Path, dest: Path):
         (work / out_name).replace(dest / "out")
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+# the solver's account of a failed solve, in stderr and in sweep rows
+SOLVER_COUNTS = re.compile(r"within \d+ iterations \(\d+ matvecs[,;] best [^)]*\)")
+REL_TOL, ABS_TOL = 1e-8, 1e-12
+
+
+def _text_drift(a: str, b: str) -> str | None:
+    """Why two captured texts disagree, or None when they agree."""
+    a, b = (SOLVER_COUNTS.sub("<solver counts>", t) for t in (a, b))
+    if NUMBER.sub("#", a) != NUMBER.sub("#", b):
+        return "text differs once numbers are masked"
+    for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
+        x, y = float(x), float(y)
+        if not math.isclose(x, y, rel_tol=REL_TOL, abs_tol=ABS_TOL):
+            return f"{x!r} against {y!r}"
+    return None
+
+
+def compare(a: Path, b: Path) -> list:
+    """(case, problem) for every case of two captures that disagree."""
+    cases_a = {p.name for p in a.iterdir() if p.is_dir()}
+    cases_b = {p.name for p in b.iterdir() if p.is_dir()}
+    problems = [(name, f"only in {a}") for name in sorted(cases_a - cases_b)]
+    problems += [(name, f"only in {b}") for name in sorted(cases_b - cases_a)]
+    for name in sorted(cases_a & cases_b):
+        files = sorted({p.name for p in (a / name).iterdir()} | {p.name for p in (b / name).iterdir()})
+        for file in files:
+            fa, fb = a / name / file, b / name / file
+            if not (fa.exists() and fb.exists()):
+                problems.append((name, f"{file} is missing on one side"))
+                continue
+            ta, tb = fa.read_text(encoding="utf-8"), fb.read_text(encoding="utf-8")
+            if file == "exit":
+                why = None if ta == tb else "differs"
+            else:
+                why = _text_drift(ta, tb)
+            if why is not None:
+                problems.append((name, f"{file}: {why}"))
+    return problems
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 3 and args[0] == "--compare":
+        problems = compare(Path(args[1]), Path(args[2]))
+        for name, why in problems:
+            print(f"{name}: {why}")
+        return 1 if problems else 0
     if len(args) != 1:
-        print("usage: python3 tools/snapshot.py OUTDIR", file=sys.stderr)
+        print("usage: python3 tools/snapshot.py OUTDIR | --compare A B", file=sys.stderr)
         return 2
     outdir = Path(args[0]).resolve()
     if outdir.exists() and any(outdir.iterdir()):
