@@ -68,7 +68,9 @@ def refine(
 
     Level 0 starts the eigensolve from the solver's default, the constant
     vector; each finer level starts from the coarser level's ground state,
-    interpolated onto its lattice (nested iteration).
+    interpolated onto its lattice (nested iteration).  Every level is
+    preconditioned by one V-cycle over the levels built so far, which on
+    level 0 is conjugate gradients on its own operator.
 
     Raises GridError/SolverConvergenceError if a level cannot be built or
     solved, and ValueError when a level's bounding-box lattice, which
@@ -89,7 +91,7 @@ def refine(
             )
         spacings.append(h)
     lams, grids, matrices = [], [], []
-    v0 = precondition = None
+    v0 = None
     for h in spacings:
         grid = build_grid(domain, h)
         matrix = assemble(grid)
@@ -99,7 +101,7 @@ def refine(
         # memory peak, so that the start vector does not add to it
         if len(grids) > 1:
             v0 = _prolong(grids[-2], spectrum.eigenvectors[:, 0], grid)
-            precondition = functools.partial(_v_cycle, grids[:], matrices[:])
+        precondition = functools.partial(_v_cycle, grids[:], matrices[:])
         spectrum = smallest_eigenpairs(matrix, tol=tol, v0=v0, precondition=precondition)
         lams.append(float(spectrum.eigenvalues[0]))
     lams = np.array(lams)

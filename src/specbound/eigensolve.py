@@ -2,17 +2,19 @@
 
 The solver touches the operator only through products `A @ v`.  The ground
 state comes from a single-vector LOBPCG loop (Knyazev 2001, SIAM J. Sci.
-Comput. 23(2)) and is certified by a residual from a fresh product.  It
+Comput. 23(2)) whose every step tests a residual from a fresh product.  It
 starts from the caller's `v0` or else from the constant vector, which is not
 orthogonal to the one-signed ground state.  No start is random, so iteration
-counts and vectors are reproducible.  On the finer levels of a refinement
-the search direction is preconditioned by one geometric multigrid V-cycle
-over the coarser levels (`_v_cycle`), which also acts on each level's
+counts and vectors are reproducible.  The search direction is always
+preconditioned: by conjugate gradients on the operator itself
+(`_coarse_solve`), or in a refinement by one geometric multigrid V-cycle
+over the levels built so far (`_v_cycle`), which also acts on each level's
 operator only through products.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,16 +33,17 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 _DROPPED = 1e-12  # Gram eigenvalue share below which a direction is roundoff
 _IDLE = 64  # fewest iterations without a new best that can end a solve
+# a backstop for a solve that keeps setting new bests.  The stall rule ends
+# every other failing solve, the longest seen after 521 iterations (a 2:1
+# rectangle at tol 1e-30), and a converging preconditioned solve takes tens
+_CAP = 2000
 
 
 class SolverConvergenceError(RuntimeError):
-    """Residual target not reached: the iteration cap was hit, or a fresh
-    residual check failed without improving on the previous failed one or
-    after a long stall.
+    """Residual target not reached: the solve stalled or hit its iteration cap.
 
-    `best_residual` is the smallest ||A v - lambda v|| seen in any
-    iteration.  Most are computed from the carried product A v, which near
-    the roundoff floor can read below the fresh residual that failed.
+    `best_residual` is the smallest fresh residual ||A v - lambda v|| of any
+    iteration, each of which failed its own target `tol * lambda`.
     """
 
     def __init__(self, message: str, best_residual: float):
@@ -151,10 +154,11 @@ def _v_cycle(grids: list, matrices: list, b: np.ndarray) -> np.ndarray:
 
 def _lobpcg(a, start, tol, precondition):
     # the smallest eigenpair by Rayleigh-Ritz on span{x, T r, p}.  The rows
-    # of `work` hold the iterate x, its (preconditioned) residual r and the
-    # previous step p, then A x, A r and A p; A x and A p are carried
-    # through the Ritz coefficients, so a step makes one product, A r.  p
-    # starts at zero, a direction that the Gram rule below drops.
+    # of `work` hold the iterate x, its preconditioned residual T r and the
+    # previous step p, then A x, A T r and A p.  A x is formed fresh at the
+    # top of every step, so the residual tested is the one certified; A p is
+    # carried through the Ritz coefficients.  p starts at zero, a direction
+    # that the Gram rule below drops.
     work = np.empty((6, a.shape[0]))
     basis = work[:3]
     x, r, p, ax, ar, ap = work
@@ -163,40 +167,24 @@ def _lobpcg(a, start, tol, precondition):
     if not 0.0 < norm < math.inf:
         raise ValueError("the start vector must be finite and not zero")
     x /= norm
-    ax[:] = a @ x
     p[:] = ap[:] = 0.0
-    matvecs, fresh, failed = 1, True, math.inf
     best, lowest, improved = math.inf, math.inf, 0
-    for step in range(4 * a.shape[0] + 100):
+    for step in range(_CAP):
+        ax[:] = a @ x
         lam = float(x @ ax)
         np.multiply(x, lam, out=r)
         np.subtract(ax, r, out=r)
         res = math.sqrt(r @ r)
+        if res <= tol * lam:
+            return lam, x, res
         if res < best or lam < lowest:
             best, lowest, improved = min(best, res), min(lowest, lam), step
-        # no new best residual or lambda in the latter half of the run.  A
-        # converging solve, even a cold 1-D one whose residual rises for
-        # hundreds of steps, keeps lowering lambda
-        stalled = step - improved >= max(_IDLE, step / 2)
-        if res <= tol * lam and fresh:
-            return lam, x, res
-        if fresh and step > 0:
-            # a fresh check failed.  Below the roundoff floor the carried
-            # residual keeps passing while the fresh ones stop improving,
-            # or it stalls above the target and passes no more
-            if res >= failed or stalled:
-                break
-            failed = res
-        elif res <= tol * lam or stalled:
-            # the carried A x drifts by roundoff; check from a fresh product
-            ax[:] = a @ x
-            matvecs, fresh = matvecs + 1, True
-            continue
-        fresh = False
-        if precondition is not None:
-            r[:] = precondition(r)
+        # no new best residual or lambda in the latter half of the run: tol
+        # is below the roundoff floor.  A converging solve keeps lowering one
+        if step - improved >= max(_IDLE, step / 2) or step + 1 == _CAP:
+            break
+        r[:] = precondition(r)
         ar[:] = a @ r
-        matvecs += 1
         # one (3, 6) product gives the Gram and the Ritz matrix; it is much
         # faster than basis @ basis.T, which numpy routes to BLAS syrk
         products = basis @ work.T
@@ -210,7 +198,7 @@ def _lobpcg(a, start, tol, precondition):
         keep = mu > _DROPPED * mu[-1]
         t = u[:, keep] / np.sqrt(mu[keep])
         c = scale * (t @ np.linalg.eigh(t.T @ stiff @ t)[1][:, 0])
-        # r and A r are recomputed next step, so they can be scaled in place
+        # T r and A T r are recomputed next step, so they can be scaled in place
         r *= c[1]
         p *= c[2]
         p += r
@@ -219,14 +207,10 @@ def _lobpcg(a, start, tol, precondition):
         ap += ar
         x *= c[0]
         x += p
-        ax *= c[0]
-        ax += ap
-        norm = math.sqrt(x @ x)
-        x /= norm
-        ax /= norm
+        x /= math.sqrt(x @ x)
     raise SolverConvergenceError(
         f"eigenpair 0 did not reach residual {tol * lam:.3e} "
-        f"within {step + 1} iterations ({matvecs} matvecs, best {best:.3e})",
+        f"within {step + 1} iterations ({2 * step + 1} matvecs, best {best:.3e})",
         best_residual=best,
     )
 
@@ -244,26 +228,23 @@ def smallest_eigenpairs(
     `v0`, which must be finite and not zero (else ValueError), or else from
     the constant vector.  The returned vector has a positive mean.
 
-    `precondition`, if given, maps a residual r to T r with T an
-    approximation of A^-1, and each step searches along T r in place of r.
-    It changes how fast the residual falls, not the test it must pass.
-    `refine` passes one multigrid V-cycle over its coarser levels, which
-    holds the count near a dozen iterations however fine the lattice.
+    `precondition` maps a residual r to T r with T an approximation of
+    A^-1, and each step searches along T r in place of r.  It changes how
+    fast the residual falls, not the test it must pass.  The default runs
+    conjugate gradients on A to a relative residual of 1e-2; `refine`
+    passes one multigrid V-cycle over its levels.  Either holds the count
+    near a dozen iterations on the benchmark's shapes.
 
-    Raises SolverConvergenceError after 4 N + 100 iterations, or when a
-    fresh residual check fails without improving on the previous failed
-    one, or when it fails after the latter half of the iterations (and at
-    least 64) set no new best residual or lambda: signs that `tol` is below
-    the roundoff floor.  Without a preconditioner, as on the first level of
-    a refinement, the iteration count grows with the lattice's diameter in
-    steps, which is N on a 1-D or path-like lattice: a cold start on the
-    unit interval at N = 2047 takes about 2.4 N.  Fat 2-D and 3-D lattices
-    need far fewer.
+    Raises SolverConvergenceError when the latter half of the iterations
+    (and at least 64) set no new best residual or lambda, a sign that `tol`
+    is below the roundoff floor, or after 2000 iterations.
     """
     a = matrix.matrix
     if not 0 < tol < 1:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
     start = np.ones(a.shape[0]) if v0 is None else v0
+    if precondition is None:
+        precondition = functools.partial(_coarse_solve, a)
     lam, x, res = _lobpcg(a, start, tol, precondition)
     if x.sum() < 0:
         x = -x

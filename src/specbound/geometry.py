@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _BAND = 1e-12  # relative width of the band of points counted as boundary
+_CHUNK = 512  # rows of points per block of pairwise differences
 
 
 class DomainError(ValueError):
@@ -490,10 +491,10 @@ def _neighbor_views(occ: np.ndarray):
             ]
 
 
-def _max_pairwise_distance(points: np.ndarray, chunk: int = 512) -> float:
+def _max_pairwise_distance(points: np.ndarray) -> float:
     best = 0.0
-    for start in range(0, points.shape[0], chunk):
-        block = points[start : start + chunk]
+    for start in range(0, points.shape[0], _CHUNK):
+        block = points[start : start + _CHUNK]
         diff = block[:, None, :] - points[None, :, :]
         best = max(best, float(np.max(np.sum(diff**2, axis=-1))))
     return math.sqrt(best)

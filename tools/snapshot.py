@@ -150,8 +150,10 @@ def cases() -> list:
         ("error-bad-polygon", ["dump-spec", "--domain", '{"kind":"polygon","dim":2,"params":{"vertices":[[0,0],[0,1],[1,0]]}}'], None),
         ("error-out-dir-absent", ["bessel-zeros", "--out", "absent/out"], None),
         ("nonconvergence-tol", ["lambda1", "--domain", _spec("disk"), "--tol", "1e-13"], None),
-        # a tol below even the carried residual's floor
+        # a tol far below the disk's roundoff floor, and the default tol
+        # below the floor of the unit interval at h = 1/4096
         ("nonconvergence-floor", ["lambda1", "--domain", _spec("disk"), "--h-start", "0.03125", "--levels", "3", "--tol", "1e-14"], None),
+        ("nonconvergence-interval-floor", ["lambda1", "--domain", _spec("interval"), "--h-start", "0.000244140625", "--levels", "3"], None),
     ]
     return runs
 
