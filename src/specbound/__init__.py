@@ -7,7 +7,6 @@ from .eigensolve import (
     SolverConvergenceError,
     Spectrum,
     WaveField,
-    rayleigh_quotient,
     smallest_eigenpairs,
 )
 from .geometry import (
@@ -64,7 +63,6 @@ __all__ = [
     "mean_momentum",
     "momentum_stddev",
     "position_stddev",
-    "rayleigh_quotient",
     "refine",
     "smallest_eigenpairs",
     "unit_ball_volume",

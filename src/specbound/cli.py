@@ -49,7 +49,8 @@ def _check_pipeline_flags(args):
     # [0, 2 theta], so it certifies nothing
     if not 0 < args.tol < 1:
         raise DomainError(f"tol must be in (0, 1), got {args.tol}")
-    if not 0 < args.hbar < math.inf:
+    # lambda1 takes no --hbar
+    if "hbar" in args and not 0 < args.hbar < math.inf:
         raise DomainError(f"hbar must be positive and finite, got {args.hbar}")
 
 
@@ -263,15 +264,21 @@ def _cmd_dump_spec(args) -> int:
     return EXIT_OK
 
 
-def _add_pipeline_flags(sub, with_domain=True):
-    if with_domain:
-        sub.add_argument("--domain", required=True, help="inline JSON or path to a spec file")
-    sub.add_argument("--h-start", dest="h_start", type=float, default=0.125)
-    sub.add_argument("--levels", type=int, default=4)
-    sub.add_argument("--tol", type=float, default=1e-10)
-    sub.add_argument("--hbar", type=float, default=1.0)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--out", default=None, help="artifact path (default: stdout)")
+_FLAGS = {
+    "--domain": dict(required=True, help="inline JSON or path to a spec file"),
+    "--h-start": dict(dest="h_start", type=float, default=0.125),
+    "--levels": dict(type=int, default=4),
+    "--tol": dict(type=float, default=1e-10),
+    "--hbar": dict(type=float, default=1.0),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--out": dict(default=None, help="artifact path (default: stdout)"),
+}
+
+
+def _add_flags(sub, *names):
+    # each subcommand takes exactly the flags its handler reads
+    for name in names:
+        sub.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,17 +289,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
+    study = ("--h-start", "--levels", "--tol")
     lam = commands.add_parser("lambda1", help="refinement study for lambda1")
-    _add_pipeline_flags(lam)
+    _add_flags(lam, "--domain", *study, "--format", "--out")
     lam.set_defaults(handler=_cmd_lambda1)
 
     cert = commands.add_parser("certify", help="certify all bounds for a domain")
-    _add_pipeline_flags(cert)
+    _add_flags(cert, "--domain", *study, "--hbar", "--format", "--out")
     cert.set_defaults(handler=_cmd_certify)
 
     bz = commands.add_parser("bessel-zeros", help="sharp constants table")
-    bz.add_argument("--format", choices=("json", "csv"), default="json")
-    bz.add_argument("--out", default=None)
+    _add_flags(bz, "--format", "--out")
     bz.set_defaults(handler=_cmd_bessel_zeros)
 
     sweep = commands.add_parser("sweep", help="run a shape family to CSV")
@@ -303,12 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--values", default=None, help="comma-separated family parameters")
     sweep.add_argument("--mask-dir", dest="mask_dir", default=None)
-    _add_pipeline_flags(sweep, with_domain=False)
+    _add_flags(sweep, *study, "--hbar", "--out")
     sweep.set_defaults(handler=_cmd_sweep)
 
     dump = commands.add_parser("dump-spec", help="normalize a domain spec")
-    dump.add_argument("--domain", required=True)
-    dump.add_argument("--out", default=None)
+    _add_flags(dump, "--domain", "--out")
     dump.set_defaults(handler=_cmd_dump_spec)
 
     return parser

@@ -71,8 +71,6 @@ class OperatorMatrix:
     """Sparse symmetric positive-definite discretization of -Laplacian."""
 
     matrix: sparse.csr_matrix = field(repr=False)
-    spacing: float
-    dim: int
 
     @property
     def shape(self):
@@ -212,4 +210,4 @@ def assemble(grid: Grid) -> OperatorMatrix:
     values[:n] = 2.0 * grid.dim / h2
     matrix = sparse.csr_matrix((values, (rows, cols)), shape=(n, n))
     matrix.sort_indices()
-    return OperatorMatrix(matrix=matrix, spacing=grid.spacing, dim=grid.dim)
+    return OperatorMatrix(matrix=matrix)

@@ -26,16 +26,20 @@ __all__ = [
     "Spectrum",
     "SolverConvergenceError",
     "WaveField",
-    "rayleigh_quotient",
     "smallest_eigenpairs",
 ]
 
 DEFAULT_TOL = 1e-10
 _DROPPED = 1e-12  # Gram eigenvalue share below which a direction is roundoff
-_IDLE = 64  # fewest iterations without a new best that can end a solve
-# a backstop for a solve that keeps setting new bests.  The stall rule ends
-# every other failing solve, the longest seen after 521 iterations (a 2:1
-# rectangle at tol 1e-30), and a converging preconditioned solve takes tens
+_IDLE = 64  # fewest iterations without progress that can end a solve
+# a step counts as progress when its residual is below half the best so far
+# or lambda falls by more than 1e-12 relative.  Any new minimum let roundoff
+# at the floor count: four solves below their floor (2:1 rectangle and unit
+# square at h = 1/8, two disks) ran 521, 92, 125, 209 steps, now 79, 76, 76, 78
+_RESIDUAL_FACTOR = 0.5
+_LAMBDA_MARGIN = 1e-12
+# a backstop for a solve that keeps making progress; the stall rule ended
+# every failing solve seen by step 79, and a converging one takes tens
 _CAP = 2000
 
 
@@ -53,7 +57,7 @@ class SolverConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class WaveField:
-    """A real-valued state sampled on the interior points of a grid."""
+    """A real state on the interior points of a grid, in the h^n-weighted norm."""
 
     values: np.ndarray
     grid: Grid
@@ -73,36 +77,21 @@ class WaveField:
     def norm_squared(self) -> float:
         return self.weight * float(self.values @ self.values)
 
-    def normalize(self) -> "WaveField":
-        """Rescale to h^n-weighted unit norm."""
-        nrm = math.sqrt(self.norm_squared())
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero field")
-        return WaveField(self.values / nrm, self.grid)
-
 
 @dataclass(frozen=True)
 class Spectrum:
     """The ground state: length-1 `eigenvalues` and `residuals` and an
-    (N, 1) `eigenvectors` of h^n-weighted unit norm and positive mean."""
+    (N, 1) `eigenvectors` of unit 2-norm and positive mean, which knows no
+    grid; `wavefield` applies the h^n weight."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray = field(repr=False)  # (N, 1)
     residuals: np.ndarray
-    inner_product_weight: float
 
     def wavefield(self, grid: Grid) -> WaveField:
-        """The ground state as a normalized WaveField on `grid`."""
-        return WaveField(self.eigenvectors[:, 0].copy(), grid)
-
-
-def rayleigh_quotient(matrix: OperatorMatrix, psi: "WaveField | np.ndarray") -> float:
-    """(psi^T A psi) / (psi^T psi); the h^n weight cancels."""
-    values = psi.values if isinstance(psi, WaveField) else np.asarray(psi, float)
-    denom = float(values @ values)
-    if denom == 0.0:
-        raise ValueError("Rayleigh quotient of the zero vector is undefined")
-    return float(values @ (matrix.matrix @ values)) / denom
+        """The ground state as a WaveField on `grid`, divided by
+        sqrt(h^n) to unit h^n-weighted norm."""
+        return WaveField(self.eigenvectors[:, 0] / math.sqrt(grid.spacing**grid.dim), grid)
 
 
 def _coarse_solve(a, b):
@@ -177,10 +166,11 @@ def _lobpcg(a, start, tol, precondition):
         res = math.sqrt(r @ r)
         if res <= tol * lam:
             return lam, x, res
-        if res < best or lam < lowest:
-            best, lowest, improved = min(best, res), min(lowest, lam), step
-        # no new best residual or lambda in the latter half of the run: tol
-        # is below the roundoff floor.  A converging solve keeps lowering one
+        if res < _RESIDUAL_FACTOR * best or lam < lowest * (1.0 - _LAMBDA_MARGIN):
+            improved = step
+        best, lowest = min(best, res), min(lowest, lam)
+        # no progress in the latter half of the run: tol is below the
+        # roundoff floor.  A converging solve keeps lowering one
         if step - improved >= max(_IDLE, step / 2) or step + 1 == _CAP:
             break
         r[:] = precondition(r)
@@ -226,7 +216,8 @@ def smallest_eigenpairs(
     The pair satisfies ||A v - lambda v|| <= tol * lambda, checked with a
     fresh product A v; `tol` must lie in (0, 1).  The iteration starts from
     `v0`, which must be finite and not zero (else ValueError), or else from
-    the constant vector.  The returned vector has a positive mean.
+    the constant vector.  The returned vector has unit 2-norm and a positive
+    mean; `Spectrum.wavefield` rescales it to the h^n-weighted norm.
 
     `precondition` maps a residual r to T r with T an approximation of
     A^-1, and each step searches along T r in place of r.  It changes how
@@ -236,8 +227,8 @@ def smallest_eigenpairs(
     near a dozen iterations on the benchmark's shapes.
 
     Raises SolverConvergenceError when the latter half of the iterations
-    (and at least 64) set no new best residual or lambda, a sign that `tol`
-    is below the roundoff floor, or after 2000 iterations.
+    (and at least 64) neither halve the best residual nor lower lambda by
+    1e-12 relative (`tol` is below the roundoff floor), or after 2000 steps.
     """
     a = matrix.matrix
     if not 0 < tol < 1:
@@ -246,14 +237,10 @@ def smallest_eigenpairs(
     if precondition is None:
         precondition = functools.partial(_coarse_solve, a)
     lam, x, res = _lobpcg(a, start, tol, precondition)
-    if x.sum() < 0:
-        x = -x
-    # ||A v - lambda v|| / ||v|| is scale-invariant, so it certifies the
-    # h^n-normalized vector too
-    weight = matrix.spacing**matrix.dim
+    # a fresh array: a view of x would keep the whole (6, N) work buffer alive
+    sign = -1.0 if x.sum() < 0 else 1.0
     return Spectrum(
         eigenvalues=np.array([lam]),
-        eigenvectors=(x / math.sqrt(weight))[:, None],
+        eigenvectors=sign * x[:, None],
         residuals=np.array([res]),
-        inner_product_weight=weight,
     )

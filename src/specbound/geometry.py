@@ -78,11 +78,6 @@ class DomainMetrics:
     diameter: float
     perimeter: float | None = None
 
-    @property
-    def area(self) -> float:
-        """Two-dimensional alias of `volume`."""
-        return self.volume
-
 
 class Domain(ABC):
     """A compact region of R^n with an inclusive (closed) membership test.
@@ -105,14 +100,6 @@ class Domain(ABC):
         self.dim = int(dim)
         self.bounding_box = box
 
-    def contains(self, point) -> bool:
-        """Inclusive membership: boundary points report True."""
-        return bool(self.membership(self._check_point(point), strict=False)[0])
-
-    def strictly_contains(self, point) -> bool:
-        """Open-interior membership: boundary points report False."""
-        return bool(self.membership(self._check_point(point), strict=True)[0])
-
     def membership(self, points: np.ndarray, strict: bool = False) -> np.ndarray:
         """Vectorized membership test for an (M, dim) array of points."""
         points = np.asarray(points, dtype=float)
@@ -121,14 +108,6 @@ class Domain(ABC):
                 f"points must have shape (M, {self.dim}), got {points.shape}"
             )
         return self._membership(points, strict)
-
-    def _check_point(self, point) -> np.ndarray:
-        point = np.atleast_1d(np.asarray(point, dtype=float))
-        if point.shape != (self.dim,):
-            raise DomainError(
-                f"point has {point.shape[0]} coordinates, domain has dim {self.dim}"
-            )
-        return point.reshape(1, self.dim)
 
     @abstractmethod
     def _membership(self, points: np.ndarray, strict: bool) -> np.ndarray: ...

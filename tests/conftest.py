@@ -1,9 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
-from specbound import Ball, Box, Ellipse, Interval, Polygon, RasterMask
+from specbound import Ball, Box, Ellipse, Interval, Polygon, RasterMask, WaveField
 
 L_VERTICES = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0]]
+
+
+def rayleigh_quotient(matrix, v):
+    """v^T A v / v^T v for an OperatorMatrix A; any h^n weight cancels."""
+    return float(v @ (matrix.matrix @ v) / (v @ v))
+
+
+def normalized(field):
+    """`field` rescaled to unit h^n-weighted norm."""
+    return WaveField(field.values / math.sqrt(field.norm_squared()), field.grid)
 
 
 @pytest.fixture

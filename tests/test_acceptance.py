@@ -26,13 +26,12 @@ from specbound import (
     first_zero,
     momentum_stddev,
     mean_momentum,
-    rayleigh_quotient,
     refine,
     smallest_eigenpairs,
 )
 from specbound.cli import main as cli_main
 
-from conftest import L_VERTICES
+from conftest import L_VERTICES, normalized, rayleigh_quotient
 from test_discretize import interval_eigenvalues
 
 J01 = 2.40482555769
@@ -151,9 +150,9 @@ def test_criterion_5_spectral_bound(suite_reports):
             floor = math.sqrt(lam)
             violations = 0
             for _ in range(100):
-                field = WaveField(
-                    rng.standard_normal(grid.point_count), grid
-                ).normalize()
+                field = normalized(
+                    WaveField(rng.standard_normal(grid.point_count), grid)
+                )
                 if momentum_stddev(matrix, field) < floor:
                     violations += 1
             assert violations == 0, name
@@ -233,7 +232,7 @@ def test_criterion_8_property_suites(tmp_path, capsys):
             assert violations == 0
             # discrete unit norm at 1e-8
             ground = spectrum.eigenvectors[:, 0]
-            assert abs(spectrum.inner_product_weight * (ground @ ground) - 1.0) <= 1e-8
+            assert abs(spectrum.wavefield(grid).norm_squared() - 1.0) <= 1e-8
             # ground-state positivity after sign normalization
             assert np.min(ground) > -1e-10 * np.max(ground)
             # mean momentum vanishes per axis

@@ -223,6 +223,24 @@ class TestCertify:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--family", "rectangle-aspect", "--values", "1", "--format", "json"],
+            ["lambda1", "--domain", INTERVAL, "--hbar", "2"],
+        ],
+        ids=["sweep-format", "lambda1-hbar"],
+    )
+    def test_flag_the_handler_does_not_read_is_rejected(self, capsys, argv):
+        # sweep always writes CSV and lambda1 has no hbar, so argparse
+        # refuses the flag instead of ignoring it
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {argv[-2]}" in captured.err
+
     def test_oversized_study_fails_before_allocating(self, capsys):
         # level 0 alone would be a 200001 x 200001 lattice
         code, out, err = run(capsys, "certify", "--domain", DISK, "--h-start", "1e-5")

@@ -138,6 +138,9 @@ def cases() -> list:
         ("error-hbar-inf", ["certify", "--domain", _spec("interval"), "--hbar", "inf"], None),
         ("error-hbar-nan", ["sweep", "--family", "rectangle-aspect", "--hbar", "nan"], None),
         ("error-format", ["certify", "--domain", _spec("interval"), "--format", "xml"], None),
+        # flags that a subcommand does not read are not accepted
+        ("error-sweep-format", ["sweep", "--family", "rectangle-aspect", "--values", "1", "--format", "json"], None),
+        ("error-lambda1-hbar", ["lambda1", "--domain", _spec("interval"), "--hbar", "2"], None),
         ("error-no-subcommand", [], None),
         ("error-lattice-cap", ["certify", "--domain", _spec("disk"), "--h-start", "1e-5"], None),
         ("error-many-levels", ["certify", "--domain", _spec("interval"), "--levels", "1100"], None),
