@@ -27,7 +27,6 @@ from .uncertainty import (
     UncertaintyReport,
     certify_bounds,
     krahn_ratio,
-    mean_momentum,
     momentum_stddev,
     position_stddev,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "domain_from_spec",
     "first_zero",
     "krahn_ratio",
-    "mean_momentum",
     "momentum_stddev",
     "position_stddev",
     "refine",

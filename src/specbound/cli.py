@@ -197,6 +197,9 @@ _SWEEP_COLUMNS = (
 
 
 def _sweep_shapes(args) -> list:
+    # a flag that the chosen family does not read is an error, not ignored
+    if args.family != "mask-batch" and args.mask_dir is not None:
+        raise DomainError(f"--mask-dir is read only by family mask-batch, not {args.family}")
     if args.family == "rectangle-aspect":
         values = _parse_values(args.values, default=(1.0, 1.5, 2.0, 4.0))
         return [(a, Box([[0.0, a], [0.0, 1.0]])) for a in sorted(values)]
@@ -208,6 +211,11 @@ def _sweep_shapes(args) -> list:
             shapes.append((a, Ellipse([0.0, 0.0], [s, 1.0 / s])))
         return shapes
     # mask-batch
+    if args.values is not None:
+        raise DomainError(
+            "--values is read only by families rectangle-aspect and "
+            "ellipse-aspect, not mask-batch"
+        )
     if args.mask_dir is None:
         raise DomainError("family mask-batch requires --mask-dir")
     directory = Path(args.mask_dir)

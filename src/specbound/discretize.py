@@ -72,13 +72,6 @@ class OperatorMatrix:
 
     matrix: sparse.csr_matrix = field(repr=False)
 
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def quadratic_form(self, x: np.ndarray) -> float:
-        return float(x @ (self.matrix @ x))
-
 
 def _lattice_shape(domain: Domain, h: float) -> tuple:
     """Points per axis of the spacing-h lattice over the bounding box,
@@ -170,7 +163,7 @@ def build_grid(domain: Domain, h: float) -> Grid:
     axes = [origin[a] + np.arange(shape[a]) * h for a in range(domain.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
-    inside = domain.membership(points, strict=True)
+    inside = domain.membership(points)
     interior_flat = np.nonzero(inside)[0].astype(np.int64)
     if interior_flat.shape[0] == 0:
         raise GridError(f"no interior lattice point at spacing {h}; refine h")

@@ -1,9 +1,9 @@
 """Compact domains in R^n (n = 1, 2, 3): membership tests and metrics.
 
-Membership comes in a closed and a strict (open-interior) form.  Points
-within a relative 1e-12 of the boundary (1e-9 of a cell for raster masks)
-count as boundary points, so roundoff in lattice coordinates, for example
-after a translation, does not move a point in or out.  Every shape is
+Membership is the open interior, the one question the lattice asks.
+Points within a relative 1e-12 of the boundary (1e-9 of a cell for raster
+masks) count as outside, so roundoff in lattice coordinates, for example
+after a translation, does not move a boundary point in.  Every shape is
 immutable after construction and all operations are pure functions of the
 shape parameters, so instances are safe to share across threads.
 """
@@ -32,7 +32,7 @@ __all__ = [
     "unit_ball_volume",
 ]
 
-_BAND = 1e-12  # relative width of the band of points counted as boundary
+_BAND = 1e-12  # relative width of the band of points counted as outside
 _CHUNK = 512  # rows of points per block of pairwise differences
 
 
@@ -80,7 +80,7 @@ class DomainMetrics:
 
 
 class Domain(ABC):
-    """A compact region of R^n with an inclusive (closed) membership test.
+    """A compact region of R^n with an open-interior membership test.
 
     A subclass keeps each constructor argument, normalized, in an attribute
     of the same name; `to_spec` and `domain_from_spec` read its spec from
@@ -100,17 +100,17 @@ class Domain(ABC):
         self.dim = int(dim)
         self.bounding_box = box
 
-    def membership(self, points: np.ndarray, strict: bool = False) -> np.ndarray:
-        """Vectorized membership test for an (M, dim) array of points."""
+    def membership(self, points: np.ndarray) -> np.ndarray:
+        """Which of an (M, dim) array of points lie strictly inside."""
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise DomainError(
                 f"points must have shape (M, {self.dim}), got {points.shape}"
             )
-        return self._membership(points, strict)
+        return self._membership(points)
 
     @abstractmethod
-    def _membership(self, points: np.ndarray, strict: bool) -> np.ndarray: ...
+    def _membership(self, points: np.ndarray) -> np.ndarray: ...
 
     @abstractmethod
     def metrics(self) -> DomainMetrics:
@@ -124,34 +124,8 @@ class Domain(ABC):
             params[name] = value.tolist() if isinstance(value, np.ndarray) else value
         return {"kind": self.kind, "dim": self.dim, "params": params}
 
-    def __eq__(self, other):
-        return type(other) is type(self) and other.to_spec() == self.to_spec()
-
-    def __hash__(self):
-        return hash(repr(self.to_spec()))
-
     def __repr__(self):
         return f"{type(self).__name__}({self.to_spec()['params']})"
-
-
-class Interval(Domain):
-    """The segment [a, b] on the line."""
-
-    kind = "interval"
-
-    def __init__(self, a: float, b: float):
-        if not b > a:
-            raise DomainError(f"need b > a, got a={a}, b={b}")
-        self.a = float(a)
-        self.b = float(b)
-        super().__init__(1, [[self.a, self.b]])
-
-    def _membership(self, points, strict):
-        return _in_box(points, self.bounding_box, strict)
-
-    def metrics(self):
-        length = self.b - self.a
-        return DomainMetrics(volume=length, diameter=length)
 
 
 class Box(Domain):
@@ -168,8 +142,10 @@ class Box(Domain):
         self.bounds = bounds
         super().__init__(bounds.shape[0], bounds)
 
-    def _membership(self, points, strict):
-        return _in_box(points, self.bounds, strict)
+    def _membership(self, points):
+        lo, hi = self.bounds[:, 0], self.bounds[:, 1]
+        band = _BAND * (hi - lo)
+        return np.all((points > lo + band) & (points < hi - band), axis=1)
 
     def metrics(self):
         sides = self.bounds[:, 1] - self.bounds[:, 0]
@@ -180,12 +156,17 @@ class Box(Domain):
         )
 
 
-def _in_box(points, box, strict):
-    lo, hi = box[:, 0], box[:, 1]
-    band = _BAND * (hi - lo)
-    if strict:
-        return np.all((points > lo + band) & (points < hi - band), axis=1)
-    return np.all((points >= lo - band) & (points <= hi + band), axis=1)
+class Interval(Box):
+    """The segment [a, b] on the line."""
+
+    kind = "interval"
+
+    def __init__(self, a: float, b: float):
+        if not b > a:
+            raise DomainError(f"need b > a, got a={a}, b={b}")
+        self.a = float(a)
+        self.b = float(b)
+        super().__init__([[self.a, self.b]])
 
 
 class Ball(Domain):
@@ -202,11 +183,9 @@ class Ball(Domain):
         box = np.stack([center - radius, center + radius], axis=1)
         super().__init__(center.shape[0], box)
 
-    def _membership(self, points, strict):
+    def _membership(self, points):
         r2 = np.sum((points - self.center) ** 2, axis=1)
-        if strict:
-            return r2 < self.radius**2 * (1.0 - _BAND)
-        return r2 <= self.radius**2 * (1.0 + _BAND)
+        return r2 < self.radius**2 * (1.0 - _BAND)
 
     def metrics(self):
         return DomainMetrics(
@@ -254,9 +233,9 @@ class Ellipse(Domain):
         box = np.stack([center - semi, center + semi], axis=1)
         super().__init__(semi.shape[0], box)
 
-    def _membership(self, points, strict):
+    def _membership(self, points):
         q = np.sum(((points - self.center) / self.semi_axes) ** 2, axis=1)
-        return q < 1.0 - _BAND if strict else q <= 1.0 + _BAND
+        return q < 1.0 - _BAND
 
     def metrics(self):
         return DomainMetrics(
@@ -285,7 +264,7 @@ class Polygon(Domain):
         super().__init__(2, box)
         self._scale = float(np.max(box[:, 1] - box[:, 0]))
 
-    def _membership(self, points, strict):
+    def _membership(self, points):
         on_edge = np.zeros(points.shape[0], dtype=bool)
         inside = np.zeros(points.shape[0], dtype=bool)
         eps = 1e-12 * max(self._scale, 1.0)
@@ -309,7 +288,7 @@ class Polygon(Domain):
             with np.errstate(divide="ignore", invalid="ignore"):
                 x_int = ax + (py - ay) * (bx - ax) / (by - ay)
             inside ^= crosses & (px < x_int)
-        return (inside & ~on_edge) if strict else (inside | on_edge)
+        return inside & ~on_edge
 
     def metrics(self):
         verts = self.vertices
@@ -384,24 +363,17 @@ class RasterMask(Domain):
     def _cells_covering(self, points, offset):
         return np.floor((points - self.origin) / self.cell_size + offset).astype(int)
 
-    def _membership(self, points, strict):
+    def _membership(self, points):
         eps = 1e-9  # in cell units; lattice points sit exactly on cell faces
         lo = self._cells_covering(points, -eps)
         hi = self._cells_covering(points, +eps)
         shape = np.array(self.occupied.shape)
-        result = np.ones(points.shape[0], dtype=bool) if strict else np.zeros(
-            points.shape[0], dtype=bool
-        )
-        # enumerate the up-to-2^dim cells whose closure touches each point
+        # inside iff every one of the up-to-2^dim cells whose closure
+        # touches the point lies in the array and is occupied
+        result = np.all((lo >= 0) & (hi < shape), axis=1)
         for corner in np.ndindex(*(2,) * self.dim):
-            idx = lo + (hi - lo) * np.array(corner)
-            in_range = np.all((idx >= 0) & (idx < shape), axis=1)
-            clipped = np.clip(idx, 0, shape - 1)
-            occ = self.occupied[tuple(clipped.T)] & in_range
-            if strict:
-                result &= occ
-            else:
-                result |= occ
+            idx = np.clip(lo + (hi - lo) * np.array(corner), 0, shape - 1)
+            result &= self.occupied[tuple(idx.T)]
         return result
 
     def metrics(self):
@@ -495,6 +467,8 @@ def domain_from_spec(spec: dict) -> Domain:
         kind = spec["kind"]
     except KeyError:
         raise DomainError("domain spec is missing the 'kind' field") from None
+    if not isinstance(kind, str):
+        raise DomainError(f"domain spec 'kind' must be a string, got {kind!r}")
     if kind not in _KINDS:
         raise DomainError(
             f"unknown domain kind '{kind}' (expected one of {sorted(_KINDS)})"

@@ -90,10 +90,6 @@ def first_zero(order: float) -> BesselZero:
     while hi < _SERIES_CUTOFF:
         hi = hi + _SCAN_STEP
         f_hi = bessel_j(order, hi)
-        if f_lo == 0.0:
-            # scan point is itself a root; nudge the bracket around it
-            lo, hi = lo - 0.5 * _SCAN_STEP, lo + 0.5 * _SCAN_STEP
-            break
         if f_lo * f_hi < 0.0:
             break
         lo, f_lo = hi, f_hi

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from specbound import (
     Ball,
@@ -25,7 +26,6 @@ from specbound import (
     certify_bounds,
     first_zero,
     momentum_stddev,
-    mean_momentum,
     refine,
     smallest_eigenpairs,
 )
@@ -235,11 +235,18 @@ def test_criterion_8_property_suites(tmp_path, capsys):
             assert abs(spectrum.wavefield(grid).norm_squared() - 1.0) <= 1e-8
             # ground-state positivity after sign normalization
             assert np.min(ground) > -1e-10 * np.max(ground)
-            # mean momentum vanishes per axis
+            # mean momentum vanishes per axis: h^n psi^T D psi for the
+            # antisymmetric central difference D built from the lattice
             field = spectrum.wavefield(grid)
-            assert np.all(
-                np.abs(mean_momentum(field)) <= 1e-10 / grid.spacing
-            )
+            psi, n = field.values, grid.point_count
+            for axis in range(grid.dim):
+                (fs, fd), (bs, bd) = (grid.neighbor_pairs(axis, s) for s in (1, -1))
+                signs = np.concatenate([np.ones(len(fs)), -np.ones(len(bs))])
+                d = sparse.csr_matrix(
+                    (signs, (np.concatenate([fs, bs]), np.concatenate([fd, bd]))), shape=(n, n)
+                ) / (2.0 * grid.spacing)
+                assert abs(d + d.T).max() == 0.0
+                assert abs(field.weight * float(psi @ (d @ psi))) <= 1e-10 / grid.spacing
             # hbar covariance is exact at c = 2
             sigma_1 = momentum_stddev(matrix, field, 1.0)
             sigma_2 = momentum_stddev(matrix, field, 2.0)

@@ -321,8 +321,12 @@ class TestDumpSpec:
             '{"kind":"raster-mask","dim":2,"params":{"mask":[[1,1],[1,0]],"cell_size":"x"}}',
             '{"kind":"raster-mask","dim":2,"params":{"mask":[[1,1],[1]],"cell_size":0.5}}',
             '{"kind":"box","dim":"x","params":{"bounds":[[0,1],[0,1]]}}',
+            '{"kind":["ball"],"dim":2,"params":{"center":[0,0],"radius":1}}',
         ],
-        ids=["null-endpoint", "string-radius", "string-cell-size", "ragged-mask", "string-dim"],
+        ids=[
+            "null-endpoint", "string-radius", "string-cell-size", "ragged-mask", "string-dim",
+            "list-kind",
+        ],
     )
     def test_malformed_values_are_input_errors(self, capsys, spec):
         code, out, err = run(capsys, "dump-spec", "--domain", spec)
@@ -384,6 +388,21 @@ class TestSweep:
             assert out == ""
             assert err.startswith("error: --values")
 
+    @pytest.mark.parametrize(
+        "family, flag, reader",
+        [
+            ("rectangle-aspect", ["--values", "1", "--mask-dir", "no-such-dir"], "mask-batch"),
+            ("ellipse-aspect", ["--mask-dir", "."], "mask-batch"),
+            ("mask-batch", ["--mask-dir", ".", "--values", "1"], "rectangle-aspect"),
+        ],
+    )
+    def test_flag_of_another_family_is_input_error(self, capsys, family, flag, reader):
+        code, out, err = run(capsys, "sweep", "--family", family, *flag)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag[-2]} is read only by ")
+        assert reader in err
+
     def test_empty_mask_batch(self, capsys, tmp_path):
         empty = tmp_path / "masks"
         empty.mkdir()
@@ -412,6 +431,7 @@ class TestSweep:
         (masks / "e_good.json").write_text(json.dumps(good))
         (masks / "f_undecodable.json").write_bytes(b"\xff\xfe{")
         (masks / "g_directory.json").mkdir()
+        (masks / "h_list_kind.json").write_text(json.dumps(dict(good, kind=["raster-mask"])))
         code, out, _ = run(
             capsys,
             "sweep",
@@ -426,10 +446,12 @@ class TestSweep:
         )
         assert code == 0
         lines = out.strip().split("\n")
-        assert len(lines) == 8
+        assert len(lines) == 9
         rows = {row[1]: row for row in (line.split(",") for line in lines[1:])}
         assert rows["a_good"][-1] == rows["e_good"][-1] == "ok"
-        for name in ("b_bad", "c_bad_cell", "d_ragged", "f_undecodable", "g_directory"):
+        for name in (
+            "b_bad", "c_bad_cell", "d_ragged", "f_undecodable", "g_directory", "h_list_kind",
+        ):
             assert rows[name][-1].startswith("error:")
             assert len(rows[name]) == len(lines[0].split(","))
         # an unreadable file's row names the file

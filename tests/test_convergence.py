@@ -129,7 +129,7 @@ def test_every_level_is_preconditioned(monkeypatch, domain, h_start, levels):
     for matrix, tol, v0, calls, spectrum in solves:
         # only a start that is already the ground state needs no step: the
         # constant vector on the ring's first level, a 16-point cycle
-        exact = v0 is None and np.ptp(matrix.matrix @ np.ones(matrix.shape[0])) == 0
+        exact = v0 is None and np.ptp(matrix.matrix @ np.ones(matrix.matrix.shape[0])) == 0
         assert calls <= 25 and (calls == 0) == exact
         lam = spectrum.eigenvalues[0]
         default = smallest_eigenpairs(matrix, tol, v0)

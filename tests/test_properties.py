@@ -1,6 +1,6 @@
-"""Property tests: spec round trips, membership nesting, the exact
-power-of-two scaling of the discrete lambda1, its invariance under
-translation and its monotonicity under inclusion."""
+"""Property tests: spec round trips, the exact power-of-two scaling of the
+discrete lambda1, its invariance under translation and its monotonicity
+under inclusion."""
 
 import json
 import math
@@ -84,23 +84,6 @@ def test_spec_round_trip(domain):
     again = domain_from_spec(json.loads(json.dumps(spec)))
     assert type(again) is type(domain)
     assert again.to_spec() == spec
-
-
-@CHEAP
-@given(domains, st.integers(4, 12), st.integers(0, 2**32 - 1))
-def test_strict_membership_within_closed(domain, per_edge, seed):
-    # lattice points sit on box faces, cell faces and grid-aligned edges,
-    # where the two tests differ; random points cover the rest
-    box = domain.bounding_box
-    h = float((box[:, 1] - box[:, 0]).min()) / per_edge
-    axes = [np.arange(lo - h, hi + 1.5 * h, h) for lo, hi in box]
-    lattice = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    rng = np.random.default_rng(seed)
-    scattered = rng.uniform(box[:, 0] - h, box[:, 1] + h, size=(200, domain.dim))
-    for points in (lattice, scattered):
-        strict = domain.membership(points, strict=True)
-        closed = domain.membership(points, strict=False)
-        assert not np.any(strict & ~closed)
 
 
 SCALED = [

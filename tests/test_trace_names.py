@@ -41,3 +41,35 @@ def test_tracer_records_every_level_solve(monkeypatch, tmp_path):
     assert len(solves) == 3
     for span in solves:
         assert 0 < span.info["residual_ratio"] <= 1
+
+
+def test_tracer_spans_every_domain_kind(monkeypatch):
+    # a kind that inherits `metrics` (Interval from Box) is timed through
+    # its base class's wrapper, and `membership` through Domain's
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import numpy as np
+    import spans
+
+    from specbound import Ball, Box, Ellipse, Interval, Polygon, RasterMask
+
+    domains = [
+        Interval(0.0, 1.0),
+        Box([[0.0, 2.0], [0.0, 1.0]]),
+        Ball([0.0, 0.0, 0.0], 1.0),
+        Ellipse([0.0, 0.0], [1.0, 0.5]),
+        Polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]),
+        RasterMask([[1, 1], [1, 0]], 0.5),
+    ]
+    tracer = spans.Tracer()
+    installation = spans.install(tracer)
+    try:
+        for domain in domains:
+            start = len(tracer.spans)
+            domain.metrics()
+            domain.membership(np.zeros((3, domain.dim)))
+            names = [span.name for span in tracer.spans[start:]]
+            assert names == ["geometry.metrics", "geometry.membership"], domain
+            assert tracer.spans[-1].info == {"points": 3}
+    finally:
+        installation.remove()
+    assert installation.leftovers() == []

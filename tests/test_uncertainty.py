@@ -12,7 +12,6 @@ from specbound import (
     build_grid,
     certify_bounds,
     krahn_ratio,
-    mean_momentum,
     momentum_stddev,
     position_stddev,
     refine,
@@ -72,37 +71,6 @@ class TestMomentumStddev:
         base = momentum_stddev(matrix, field, 1.0)
         doubled = momentum_stddev(matrix, field, 2.0)
         assert doubled == 2.0 * base
-
-
-class TestMeanMomentum:
-    def test_eigenvector_fields_vanish(self, unit_disk, l_polygon):
-        for dom, h in ((unit_disk, 0.125), (l_polygon, 0.125)):
-            grid, _, spectrum, field = ground_state(dom, h)
-            mean = mean_momentum(field)
-            assert np.all(np.abs(mean) <= 1e-10 / grid.spacing)
-
-    def test_symmetric_interval_field_is_exactly_zero(self, unit_interval):
-        grid = build_grid(unit_interval, 0.125)
-        x = grid.points()[:, 0]
-        field = normalized(WaveField(np.sin(math.pi * x), grid))
-        assert mean_momentum(field).tolist() == [0.0]
-
-    def test_single_point_field(self):
-        mask = np.zeros((3, 3), dtype=int)
-        mask[1, 1] = 1
-        from specbound import RasterMask
-
-        grid = build_grid(RasterMask(mask, cell_size=1.0 / 3.0), 0.25)
-        field = WaveField(np.array([4.0]), grid)
-        assert mean_momentum(field).tolist() == [0.0, 0.0]
-
-    def test_random_fields_stay_below_bound(self, unit_square):
-        grid = build_grid(unit_square, 1.0 / 16)
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            field = normalized(WaveField(rng.standard_normal(grid.point_count), grid))
-            mean = mean_momentum(field)
-            assert np.all(np.abs(mean) <= 1e-10 / grid.spacing)
 
 
 class TestPositionStddev:

@@ -124,12 +124,14 @@ def cases() -> list:
         ("sweep-masks-out", ["sweep", "--family", "mask-batch", "--mask-dir", "masks", "--levels", "3", "--out", "out"], "out"),
         ("sweep-empty-mask-dir", ["sweep", "--family", "mask-batch", "--mask-dir", "empty"], None),
         ("sweep-masks-unreadable", ["sweep", "--family", "mask-batch", "--mask-dir", "unreadable", "--levels", "3"], None),
+        ("sweep-masks-list-kind", ["sweep", "--family", "mask-batch", "--mask-dir", "list-kind", "--levels", "3"], None),
         ("sweep-solver-failures", ["sweep", "--family", "rectangle-aspect", "--values", "1,2", "--tol", "1e-30"], None),
         # input errors (exit 2) and non-convergence (exit 3)
         ("error-unknown-kind", ["certify", "--domain", '{"kind":"torus","dim":2,"params":{}}'], None),
         ("error-malformed-json", ["lambda1", "--domain", '{"kind":'], None),
         ("error-missing-file", ["lambda1", "--domain", "specs/absent.json"], None),
         ("error-missing-field", ["dump-spec", "--domain", '{"kind":"ball","dim":2,"params":{"center":[0,0]}}'], None),
+        ("error-list-kind", ["dump-spec", "--domain", '{"kind":["ball"],"dim":2,"params":{"center":[0,0],"radius":1}}'], None),
         ("error-bad-value", ["dump-spec", "--domain", '{"kind":"ball","dim":2,"params":{"center":[0,0],"radius":"1"}}'], None),
         ("error-dim-mismatch", ["dump-spec", "--domain", '{"kind":"interval","dim":2,"params":{"a":0,"b":1}}'], None),
         ("error-levels", ["certify", "--domain", _spec("interval"), "--levels", "2"], None),
@@ -141,6 +143,9 @@ def cases() -> list:
         # flags that a subcommand does not read are not accepted
         ("error-sweep-format", ["sweep", "--family", "rectangle-aspect", "--values", "1", "--format", "json"], None),
         ("error-lambda1-hbar", ["lambda1", "--domain", _spec("interval"), "--hbar", "2"], None),
+        # a sweep flag that the chosen family does not read is not accepted
+        ("error-sweep-mask-dir-rectangle", ["sweep", "--family", "rectangle-aspect", "--values", "1", "--mask-dir", "absent"], None),
+        ("error-sweep-values-masks", ["sweep", "--family", "mask-batch", "--mask-dir", "masks", "--values", "1"], None),
         ("error-no-subcommand", [], None),
         ("error-lattice-cap", ["certify", "--domain", _spec("disk"), "--h-start", "1e-5"], None),
         ("error-many-levels", ["certify", "--domain", _spec("interval"), "--levels", "1100"], None),
@@ -175,6 +180,11 @@ def _prepare(work: Path):
     (unreadable / "a-block.json").write_text(json.dumps(SPECS["mask"]), encoding="utf-8")
     (unreadable / "b-undecodable.json").write_bytes(b"\xff\xfe{")
     (unreadable / "c-directory.json").mkdir()
+    # one good file and one whose kind is not a string
+    list_kind = work / "list-kind"
+    list_kind.mkdir()
+    (list_kind / "a-block.json").write_text(json.dumps(SPECS["mask"]), encoding="utf-8")
+    (list_kind / "b-list.json").write_text(json.dumps(dict(SPECS["mask"], kind=["raster-mask"])), encoding="utf-8")
 
 
 def run_case(argv: list, out_name: str | None, work: Path, dest: Path):
