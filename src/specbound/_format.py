@@ -1,4 +1,8 @@
-"""Deterministic 12-significant-digit formatting for report artifacts."""
+"""Deterministic 12-significant-digit formatting for report artifacts.
+
+`format_cell` writes every CSV cell and every JSON number and boolean.  A
+CSV cell holding a comma, a quote or a line break is quoted (RFC 4180).
+"""
 
 from __future__ import annotations
 
@@ -21,11 +25,15 @@ def format_float(x) -> str:
 
 
 def format_cell(x) -> str:
-    """One CSV cell: empty for None, lowercase booleans, plain integers and
-    strings, every other number through `format_float`."""
+    """One CSV cell: empty for None, lowercase booleans, plain integers,
+    every other number through `format_float`, and strings as they are, or
+    in double quotes with inner quotes doubled when they hold a comma, a
+    quote or a line break."""
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, str):
+        if any(c in x for c in ',"\r\n'):
+            return '"' + x.replace('"', '""') + '"'
         return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
@@ -43,14 +51,10 @@ def csv_text(columns, rows) -> str:
 def _emit(obj, pieces):
     if obj is None:
         pieces.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        pieces.append("true" if obj else "false")
     elif isinstance(obj, str):
         pieces.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        pieces.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        pieces.append(format_float(obj))
+    elif isinstance(obj, (bool, int, float, np.bool_, np.integer, np.floating)):
+        pieces.append(format_cell(obj))
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), pieces)
     elif isinstance(obj, dict):

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from ._format import csv_text, format_float, to_json
 from .convergence import ConvergenceStudy, refine
-from .eigensolve import SolverConvergenceError
+from .eigensolve import DEFAULT_TOL, SolverConvergenceError
 from .geometry import (
     Box,
     Domain,
@@ -156,7 +156,7 @@ def _cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _bessel_rows() -> list:
+def _cmd_bessel_zeros(args) -> int:
     rows = []
     for n in (1, 2, 3):
         zero = first_zero(n / 2.0 - 1.0)
@@ -169,11 +169,6 @@ def _bessel_rows() -> list:
                 "residual": zero.residual,
             }
         )
-    return rows
-
-
-def _cmd_bessel_zeros(args) -> int:
-    rows = _bessel_rows()
     out_path = args.out
     if args.format == "csv":
         _write_artifact(csv_text(rows[0], rows), out_path)
@@ -196,26 +191,25 @@ _SWEEP_COLUMNS = (
 )
 
 
+# the sweep families of one aspect ratio a each: default --values, and the
+# shape for one value
+_ASPECT_FAMILIES = {
+    "rectangle-aspect": ((1.0, 1.5, 2.0, 4.0), lambda a: Box([[0.0, a], [0.0, 1.0]])),
+    "ellipse-aspect": ((1.0, 1.5, 2.0), lambda a: Ellipse([0.0, 0.0], [a**0.5, 1.0 / a**0.5])),
+}
+
+
 def _sweep_shapes(args) -> list:
     # a flag that the chosen family does not read is an error, not ignored
     if args.family != "mask-batch" and args.mask_dir is not None:
         raise DomainError(f"--mask-dir is read only by family mask-batch, not {args.family}")
-    if args.family == "rectangle-aspect":
-        values = _parse_values(args.values, default=(1.0, 1.5, 2.0, 4.0))
-        return [(a, Box([[0.0, a], [0.0, 1.0]])) for a in sorted(values)]
-    if args.family == "ellipse-aspect":
-        values = _parse_values(args.values, default=(1.0, 1.5, 2.0))
-        shapes = []
-        for a in sorted(values):
-            s = a**0.5
-            shapes.append((a, Ellipse([0.0, 0.0], [s, 1.0 / s])))
-        return shapes
+    if args.family in _ASPECT_FAMILIES:
+        default, shape = _ASPECT_FAMILIES[args.family]
+        return [(a, shape(a)) for a in sorted(_parse_values(args.values, default))]
     # mask-batch
     if args.values is not None:
-        raise DomainError(
-            "--values is read only by families rectangle-aspect and "
-            "ellipse-aspect, not mask-batch"
-        )
+        families = " and ".join(_ASPECT_FAMILIES)
+        raise DomainError(f"--values is read only by families {families}, not mask-batch")
     if args.mask_dir is None:
         raise DomainError("family mask-batch requires --mask-dir")
     directory = Path(args.mask_dir)
@@ -276,7 +270,7 @@ _FLAGS = {
     "--domain": dict(required=True, help="inline JSON or path to a spec file"),
     "--h-start": dict(dest="h_start", type=float, default=0.125),
     "--levels": dict(type=int, default=4),
-    "--tol": dict(type=float, default=1e-10),
+    "--tol": dict(type=float, default=DEFAULT_TOL),
     "--hbar": dict(type=float, default=1.0),
     "--format": dict(choices=("json", "csv"), default="json"),
     "--out": dict(default=None, help="artifact path (default: stdout)"),
@@ -314,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--family",
         required=True,
-        choices=("rectangle-aspect", "ellipse-aspect", "mask-batch"),
+        choices=(*_ASPECT_FAMILIES, "mask-batch"),
     )
     sweep.add_argument("--values", default=None, help="comma-separated family parameters")
     sweep.add_argument("--mask-dir", dest="mask_dir", default=None)

@@ -3,7 +3,9 @@
 The lattice is anchored at the corner of the domain's bounding box.  A
 lattice point becomes an unknown iff it lies strictly inside the domain;
 omitted neighbors contribute nothing to the stencil, which imposes the
-homogeneous Dirichlet condition.
+homogeneous Dirichlet condition.  Adjacent interior points are found by
+one walk per axis, forward (`Grid.neighbor_pairs`); the backward pairs are
+the forward ones with source and target swapped.
 """
 
 from __future__ import annotations
@@ -52,16 +54,15 @@ class Grid:
         multi = np.array(np.unravel_index(self.interior_flat, self.shape)).T
         return self.origin + multi * self.spacing
 
-    def neighbor_pairs(self, axis: int, step: int):
-        """Interior-index pairs (src, dst) with dst = src shifted by `step`
-        lattice cells along `axis`; pairs whose target is omitted are
-        dropped."""
+    def neighbor_pairs(self, axis: int):
+        """Interior-index pairs (src, dst) with dst one lattice cell past src
+        along `axis`; pairs whose target is omitted are dropped.  The pairs
+        one cell back are the same with src and dst swapped."""
         # row-major: a point's coordinate along `axis` is (flat // stride)
-        # % shape[axis], and a shift of `step` adds step * stride to flat
+        # % shape[axis], and one cell forward adds stride to flat
         stride = math.prod(self.shape[axis + 1:])
-        coord = (self.interior_flat // stride) % self.shape[axis] + step
-        valid = (coord >= 0) & (coord < self.shape[axis])
-        dst = self.index_of[self.interior_flat[valid] + step * stride]
+        valid = (self.interior_flat // stride) % self.shape[axis] + 1 < self.shape[axis]
+        dst = self.index_of[self.interior_flat[valid] + stride]
         src = np.nonzero(valid)[0][dst >= 0]
         return src, dst[dst >= 0]
 
@@ -192,11 +193,11 @@ def assemble(grid: Grid) -> OperatorMatrix:
     # level's memory peak
     diagonal = np.arange(n)
     rows, cols = [diagonal], [diagonal]
+    # each axis's backward pairs, then its forward pairs
     for axis in range(grid.dim):
-        for step in (-1, 1):
-            src, dst = grid.neighbor_pairs(axis, step)
-            rows.append(src)
-            cols.append(dst)
+        src, dst = grid.neighbor_pairs(axis)
+        rows += [dst, src]
+        cols += [src, dst]
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     values = np.full(rows.shape[0], -1.0 / h2)

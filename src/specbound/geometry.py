@@ -6,6 +6,10 @@ masks) count as outside, so roundoff in lattice coordinates, for example
 after a translation, does not move a boundary point in.  Every shape is
 immutable after construction and all operations are pure functions of the
 shape parameters, so instances are safe to share across threads.
+
+The unit-ball volume C_n is taken in closed form: 2, pi and 4*pi/3.  A
+spec's params hold JSON numbers only, in lists at any depth; a string or a
+boolean is an error, never read as a number.
 """
 
 from __future__ import annotations
@@ -40,30 +44,11 @@ class DomainError(ValueError):
     """Raised for malformed shape parameters or misuse of a domain."""
 
 
-def _gamma_half(z: float) -> float:
-    # Exact recursion off Gamma(1) = 1 and Gamma(1/2) = sqrt(pi).  Only
-    # positive integer and half-integer arguments occur for n in {1,2,3}.
-    two_z = round(2 * z)
-    if z <= 0 or two_z != 2 * z:
-        raise ValueError(f"need a positive half-integer argument, got {z}")
-    if two_z % 2:
-        value, base = math.sqrt(math.pi), 0.5
-    else:
-        value, base = 1.0, 1.0
-    while base < z - 0.25:
-        value *= base
-        base += 1.0
-    return value
-
-
 def unit_ball_volume(n: int) -> float:
-    """Volume of the unit ball in R^n: pi^(n/2) / Gamma(n/2 + 1).
-
-    Evaluates to 2, pi and 4*pi/3 for n = 1, 2, 3.
-    """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    return math.pi ** (n / 2) / _gamma_half(n / 2 + 1)
+    """Volume C_n of the unit ball in R^n: 2, pi and 4*pi/3 for n = 1, 2, 3."""
+    if n not in (1, 2, 3):
+        raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
+    return (2.0, math.pi, 4.0 * math.pi / 3.0)[n - 1]
 
 
 @dataclass(frozen=True)
@@ -137,8 +122,6 @@ class Box(Domain):
         bounds = np.asarray(bounds, dtype=float)
         if bounds.ndim != 2 or bounds.shape[1] != 2:
             raise DomainError(f"bounds must be (dim, 2), got {bounds.shape}")
-        if not np.all(bounds[:, 1] > bounds[:, 0]):
-            raise DomainError("each axis needs hi > lo")
         self.bounds = bounds
         super().__init__(bounds.shape[0], bounds)
 
@@ -162,8 +145,6 @@ class Interval(Box):
     kind = "interval"
 
     def __init__(self, a: float, b: float):
-        if not b > a:
-            raise DomainError(f"need b > a, got a={a}, b={b}")
         self.a = float(a)
         self.b = float(b)
         super().__init__([[self.a, self.b]])
@@ -317,7 +298,7 @@ def _self_intersects(verts: np.ndarray) -> bool:
     for i in range(m):
         a, b = verts[i], verts[(i + 1) % m]
         for j in range(i + 1, m):
-            if j == i or (j + 1) % m == i or (i + 1) % m == j:
+            if (j + 1) % m == i or (i + 1) % m == j:
                 continue  # adjacent edges share a vertex by construction
             c, d = verts[j], verts[(j + 1) % m]
             if (
@@ -344,6 +325,8 @@ class RasterMask(Domain):
             raise DomainError("mask must be a 2-D or 3-D array")
         if cell_size <= 0:
             raise DomainError(f"cell_size must be positive, got {cell_size}")
+        if not np.isin(occ, (0, 1)).all():
+            raise DomainError("mask entries must be 0 or 1")
         self.occupied = occ.astype(bool)
         if not self.occupied.any():
             raise DomainError("mask has no occupied cells")
@@ -404,28 +387,23 @@ class RasterMask(Domain):
 
     def has_holes(self) -> bool:
         """True when unoccupied cells are fully enclosed by occupied ones."""
-        occ = self.occupied
-        shape = occ.shape
-        seen = np.zeros(shape, dtype=bool)
-        queue = deque()
-        for cell in np.argwhere(~occ):
-            if any(c in (0, s - 1) for c, s in zip(cell, shape)):
-                cell = tuple(cell)
-                if not seen[cell]:
-                    seen[cell] = True
-                    queue.append(cell)
+        # one search from the corner of a ring of free cells, which is
+        # connected and touches every free border cell, reaches every free
+        # cell that is not enclosed; a blocked outer layer bounds the search
+        free = np.pad(np.pad(~self.occupied, 1, constant_values=True), 1)
+        start = (1,) * self.dim
+        seen = np.zeros(free.shape, dtype=bool)
+        seen[start] = True
+        queue = deque([start])
         while queue:
             cell = queue.popleft()
             for axis in range(self.dim):
                 for shift in (-1, 1):
-                    nb = list(cell)
-                    nb[axis] += shift
-                    nb = tuple(nb)
-                    if all(0 <= c < s for c, s in zip(nb, shape)):
-                        if not occ[nb] and not seen[nb]:
-                            seen[nb] = True
-                            queue.append(nb)
-        return bool(np.any(~occ & ~seen))
+                    nb = cell[:axis] + (cell[axis] + shift,) + cell[axis + 1:]
+                    if free[nb] and not seen[nb]:
+                        seen[nb] = True
+                        queue.append(nb)
+        return bool(np.any(free & ~seen))
 
 
 def _neighbor_views(occ: np.ndarray):
@@ -476,6 +454,17 @@ def domain_from_spec(spec: dict) -> Domain:
     params = spec.get("params")
     if not isinstance(params, dict):
         raise DomainError("domain spec is missing the 'params' object")
+    # numpy would read the string "0" as an occupied cell and true as 1
+    for name, value in params.items():
+        items = [value]
+        for item in items:
+            if isinstance(item, list):
+                items += item
+            elif isinstance(item, (str, bool)):
+                raise DomainError(
+                    f"domain spec param '{name}' must hold only JSON numbers, "
+                    f"got {item!r}"
+                )
     cls = _KINDS[kind]
     try:
         args = [
@@ -490,12 +479,7 @@ def domain_from_spec(spec: dict) -> Domain:
     except (TypeError, ValueError) as exc:
         raise DomainError(f"malformed {kind} params: {exc}") from None
     declared = spec.get("dim")
-    try:
-        mismatch = declared is not None and int(declared) != domain.dim
-    except (TypeError, ValueError):
-        mismatch = True
-    if mismatch:
-        raise DomainError(
-            f"declared dim {declared} does not match shape dim {domain.dim}"
-        )
+    # a string or a boolean is not a dim, as it is not a param
+    if declared is not None and (isinstance(declared, bool) or declared != domain.dim):
+        raise DomainError(f"declared dim {declared!r} does not match shape dim {domain.dim}")
     return domain

@@ -90,9 +90,8 @@ def krahn_ratio(lambda1: float, metrics: DomainMetrics, n: int) -> float:
     """lambda1 over its isoperimetric lower bound (C_n/|D|)^(2/n) j^2.
 
     The ratio is >= 1 for converged lambda1 and equals 1 exactly for balls.
+    `unit_ball_volume` and `first_zero` raise ValueError unless n is 1, 2, 3.
     """
-    if n not in (1, 2, 3):
-        raise ValueError(f"supported dimensions are 1, 2, 3; got {n}")
     if not lambda1 > 0:
         raise ValueError(f"lambda1 must be positive, got {lambda1}")
     if not metrics.volume > 0:
@@ -138,7 +137,6 @@ class UncertaintyReport:
     lambda1_discrete: float
     sigma_p: float
     sigma_x: float
-    mean_p: np.ndarray
     metrics: DomainMetrics
     bessel_zero: float
     krahn_ratio: float
@@ -191,7 +189,8 @@ class UncertaintyReport:
             "lambda1_discrete": self.lambda1_discrete,
             "sigma_p": self.sigma_p,
             "sigma_x": self.sigma_x,
-            "mean_p": [float(v) for v in self.mean_p],
+            # a real state's <p> is 0: its central-difference form is antisymmetric
+            "mean_p": [0.0] * self.n,
             "metrics": {
                 "volume": met.volume,
                 "diameter": met.diameter,
@@ -223,7 +222,7 @@ class UncertaintyReport:
             "lambda1_discrete": self.lambda1_discrete,
             "sigma_p": self.sigma_p,
             "sigma_x": self.sigma_x,
-            "mean_p_max": np.max(np.abs(self.mean_p)),
+            "mean_p_max": 0.0,  # <p> = 0, as in to_json_dict
             "volume": met.volume,
             "diameter": met.diameter,
             "perimeter": met.perimeter,
@@ -262,8 +261,6 @@ def certify_bounds(study: ConvergenceStudy, hbar: float = 1.0) -> UncertaintyRep
 
     sigma_p = momentum_stddev(study.finest_matrix, field, hbar)
     sigma_x = position_stddev(field)
-    # a real state has <p> = 0: its central-difference form is antisymmetric
-    mean_p = np.zeros(n)
 
     band = 5.0 * (lambda1_error / lambda1) if lambda1 > 0 else math.inf
     diameter_product = math.sqrt(lambda1) * metrics.diameter
@@ -285,7 +282,6 @@ def certify_bounds(study: ConvergenceStudy, hbar: float = 1.0) -> UncertaintyRep
         lambda1_discrete=lambda1_discrete,
         sigma_p=sigma_p,
         sigma_x=sigma_x,
-        mean_p=mean_p,
         metrics=metrics,
         bessel_zero=zero.value,
         krahn_ratio=ratio,

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -322,10 +324,18 @@ class TestDumpSpec:
             '{"kind":"raster-mask","dim":2,"params":{"mask":[[1,1],[1]],"cell_size":0.5}}',
             '{"kind":"box","dim":"x","params":{"bounds":[[0,1],[0,1]]}}',
             '{"kind":["ball"],"dim":2,"params":{"center":[0,0],"radius":1}}',
+            '{"kind":"raster-mask","dim":2,"params":{"mask":[["0","0"],["1","0"]],"cell_size":0.5}}',
+            '{"kind":"ball","dim":2,"params":{"center":[0,0],"radius":true}}',
+            '{"kind":"raster-mask","dim":2,"params":{"mask":[[true,false],[2,0]],"cell_size":0.5}}',
+            '{"kind":"raster-mask","dim":2,"params":{"mask":[[1,2],[1,0]],"cell_size":0.5}}',
+            '{"kind":"interval","dim":1,"params":{"a":"9","b":"10"}}',
+            '{"kind":"ball","dim":"2","params":{"center":[0,0],"radius":1}}',
+            '{"kind":"interval","dim":true,"params":{"a":0,"b":1}}',
         ],
         ids=[
             "null-endpoint", "string-radius", "string-cell-size", "ragged-mask", "string-dim",
-            "list-kind",
+            "list-kind", "string-mask", "bool-radius", "bool-mask", "two-in-mask",
+            "string-endpoints", "numeric-string-dim", "bool-dim",
         ],
     )
     def test_malformed_values_are_input_errors(self, capsys, spec):
@@ -457,6 +467,19 @@ class TestSweep:
         # an unreadable file's row names the file
         for name in ("f_undecodable", "g_directory"):
             assert f"{name}.json" in rows[name][-1]
+
+    def test_comma_in_mask_file_name_keeps_columns(self, capsys, tmp_path):
+        spec = {"kind": "raster-mask", "dim": 2, "params": {"mask": [[1] * 4] * 4, "cell_size": 0.25}}
+        (tmp_path / "sq,1.json").write_text(json.dumps(spec))
+        code, out, _ = run(
+            capsys, "sweep", "--family", "mask-batch", "--mask-dir", str(tmp_path),
+            "--h-start", "0.125", "--levels", "3",
+        )
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out))
+        assert len(row) == len(header) == 16
+        assert dict(zip(header, row))["param"] == "sq,1"
+        assert row[-1] == "ok"
 
     def test_shared_columns_match_report_csv(self, capsys):
         flags = ("--h-start", "0.25", "--levels", "3")

