@@ -70,6 +70,8 @@ def _load_domain(text: str) -> Domain:
         spec = json.loads(candidate)
     except json.JSONDecodeError as exc:
         raise DomainError(f"invalid domain JSON near position {exc.pos}: {exc.msg}") from None
+    except RecursionError:
+        raise DomainError("invalid domain JSON: nested too deeply to parse") from None
     return domain_from_spec(spec)
 
 

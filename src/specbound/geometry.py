@@ -8,7 +8,10 @@ immutable after construction and all operations are pure functions of the
 shape parameters, so instances are safe to share across threads.
 
 The unit-ball volume C_n is taken in closed form: 2, pi and 4*pi/3.  A
-spec's params hold JSON numbers only, in lists at any depth; a string or a
+raster mask's diameter is exact: the largest distance between two vertices
+of its cells, searched only among the vertices that are not the midpoint of
+two others along an axis, which hold every extreme point of the convex hull.
+A spec's params hold JSON numbers only, in lists at any depth; a string or a
 boolean is an error, never read as a number.
 """
 
@@ -19,6 +22,7 @@ import math
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -348,15 +352,20 @@ class RasterMask(Domain):
 
     def _membership(self, points):
         eps = 1e-9  # in cell units; lattice points sit exactly on cell faces
-        lo = self._cells_covering(points, -eps)
-        hi = self._cells_covering(points, +eps)
-        shape = np.array(self.occupied.shape)
         # inside iff every one of the up-to-2^dim cells whose closure
-        # touches the point lies in the array and is occupied
-        result = np.all((lo >= 0) & (hi < shape), axis=1)
+        # touches the point is occupied; a free layer around the array
+        # answers for cells past it, and so for far-away and NaN points
+        padded = np.pad(self.occupied, 1)
+        top = np.array(padded.shape) - 1
+        lo = np.clip(self._cells_covering(points, -eps) + 1, 0, top)
+        hi = np.clip(self._cells_covering(points, +eps) + 1, 0, top)
+        steps = np.array(padded.strides) // padded.itemsize
+        base = lo @ steps  # flat index of the lowest touching cell
+        jumps = [(hi[:, a] - lo[:, a]) * steps[a] for a in range(self.dim)]
+        flat = padded.ravel()
+        result = np.ones(points.shape[0], dtype=bool)
         for corner in np.ndindex(*(2,) * self.dim):
-            idx = np.clip(lo + (hi - lo) * np.array(corner), 0, shape - 1)
-            result &= self.occupied[tuple(idx.T)]
+            result &= flat[sum((j for j, c in zip(jumps, corner) if c), base)]
         return result
 
     def metrics(self):
@@ -367,23 +376,24 @@ class RasterMask(Domain):
             perimeter = exposed * self.cell_size
         return DomainMetrics(
             volume=int(occ.sum()) * self.cell_size**self.dim,
-            diameter=_max_pairwise_distance(self._occupied_corners()),
+            diameter=_max_pairwise_distance(self._hull_candidates()),
             perimeter=perimeter,
         )
 
-    def _boundary_cells(self) -> np.ndarray:
-        # occupied cells with at least one non-occupied axis neighbor
-        occ = self.occupied
-        return occ & ~np.logical_and.reduce(list(_neighbor_views(occ)))
-
-    def _occupied_corners(self) -> np.ndarray:
-        idx = np.argwhere(self._boundary_cells())
-        corners = set()
-        for cell in idx:
-            for corner in np.ndindex(*(2,) * self.dim):
-                corners.add(tuple(cell + np.array(corner)))
-        pts = np.array(sorted(corners), dtype=float)
-        return self.origin + pts * self.cell_size
+    def _hull_candidates(self) -> np.ndarray:
+        # the vertices of the closed union that are not the midpoint of two
+        # union vertices along an axis; every extreme point of the convex
+        # hull is among them, and the diameter is attained at two of those
+        padded = np.pad(self.occupied, 1)
+        shape = self.occupied.shape
+        vertices = np.zeros(tuple(s + 1 for s in shape), dtype=bool)
+        for corner in np.ndindex(*(2,) * self.dim):
+            vertices |= padded[tuple(slice(c, c + s + 1) for c, s in zip(corner, shape))]
+        keep = vertices.copy()
+        views = _neighbor_views(vertices)
+        for before, after in zip(views, views):
+            keep &= ~(before & after)
+        return self.origin + np.argwhere(keep) * self.cell_size
 
     def has_holes(self) -> bool:
         """True when unoccupied cells are fully enclosed by occupied ones."""
@@ -454,17 +464,25 @@ def domain_from_spec(spec: dict) -> Domain:
     params = spec.get("params")
     if not isinstance(params, dict):
         raise DomainError("domain spec is missing the 'params' object")
-    # numpy would read the string "0" as an occupied cell and true as 1
+    # numpy would read the string "0" as an occupied cell and true as 1.
+    # The walk is breadth first, a level at a time, so that the first
+    # offender is the shallowest and a regular nested list flattens at C speed
     for name, value in params.items():
-        items = [value]
-        for item in items:
-            if isinstance(item, list):
-                items += item
-            elif isinstance(item, (str, bool)):
+        level = [value]
+        while level:
+            types = set(map(type, level))
+            if any(issubclass(t, (str, bool)) for t in types):
+                item = next(x for x in level if isinstance(x, (str, bool)))
                 raise DomainError(
                     f"domain spec param '{name}' must hold only JSON numbers, "
                     f"got {item!r}"
                 )
+            lists = [issubclass(t, list) for t in types]
+            if not any(lists):
+                break
+            if not all(lists):
+                level = [x for x in level if isinstance(x, list)]
+            level = list(chain.from_iterable(level))
     cls = _KINDS[kind]
     try:
         args = [

@@ -9,6 +9,10 @@ from specbound.cli import main
 
 INTERVAL = '{"kind":"interval","dim":1,"params":{"a":0,"b":1}}'
 DISK = '{"kind":"ball","dim":2,"params":{"center":[0,0],"radius":1}}'
+# a center nested 100,000 lists deep, past what the JSON parser can recurse
+DEEP = '{"kind":"ball","dim":2,"params":{"center":%s,"radius":1}}' % (
+    "[" * 100_000 + "0" + "]" * 100_000
+)
 
 
 def run(capsys, *argv):
@@ -346,6 +350,13 @@ class TestDumpSpec:
         assert "Traceback" not in err
 
 
+    def test_deep_nesting_is_input_error(self, capsys):
+        code, out, err = run(capsys, "dump-spec", "--domain", DEEP)
+        assert code == 2
+        assert out == ""
+        assert err == "error: invalid domain JSON: nested too deeply to parse\n"
+
+
 class TestSweep:
     def test_rectangle_aspects_monotone_krahn(self, capsys):
         code, out, _ = run(
@@ -467,6 +478,20 @@ class TestSweep:
         # an unreadable file's row names the file
         for name in ("f_undecodable", "g_directory"):
             assert f"{name}.json" in rows[name][-1]
+
+    def test_deeply_nested_mask_file_is_error_row(self, capsys, tmp_path):
+        spec = {"kind": "raster-mask", "dim": 2, "params": {"mask": [[1] * 4] * 4, "cell_size": 0.25}}
+        (tmp_path / "a_good.json").write_text(json.dumps(spec))
+        (tmp_path / "b_deep.json").write_text(DEEP)
+        code, out, _ = run(
+            capsys, "sweep", "--family", "mask-batch", "--mask-dir", str(tmp_path),
+            "--h-start", "0.125", "--levels", "3",
+        )
+        assert code == 0
+        header, good, deep = csv.reader(io.StringIO(out))
+        assert good[1] == "a_good" and good[-1] == "ok"
+        assert deep[1] == "b_deep" and len(deep) == len(header)
+        assert deep[-1] == "error: invalid domain JSON: nested too deeply to parse"
 
     def test_comma_in_mask_file_name_keeps_columns(self, capsys, tmp_path):
         spec = {"kind": "raster-mask", "dim": 2, "params": {"mask": [[1] * 4] * 4, "cell_size": 0.25}}

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -203,6 +204,95 @@ class TestRasterMask:
             RasterMask(np.zeros((4, 4), dtype=int), 0.5)
 
 
+def corner_diameter(occ, cell, origin):
+    """Largest distance between two corners of occupied cells, by brute force."""
+    corners = {
+        tuple(int(i) + d for i, d in zip(cell_index, offset))
+        for cell_index in np.argwhere(occ)
+        for offset in itertools.product((0, 1), repeat=occ.ndim)
+    }
+    pts = origin + np.array(sorted(corners), dtype=float) * cell
+    diff = pts[:, None, :] - pts[None, :, :]
+    return math.sqrt(float(np.max(np.sum(diff**2, axis=-1))))
+
+
+def inside_by_rule(occ, cell, origin, point):
+    """Whether every cell whose closure touches `point` (within 1e-9 of a
+    cell) lies in the array and is occupied.  A point that is not finite
+    touches no cell and is outside."""
+    if not all(math.isfinite(x) for x in point):
+        return False
+    u = (np.asarray(point) - origin) / cell
+    touching = [range(math.floor(x - 1e-9), math.floor(x + 1e-9) + 1) for x in u]
+    for index in itertools.product(*touching):
+        if not all(0 <= i < n for i, n in zip(index, occ.shape)) or not occ[index]:
+            return False
+    return True
+
+
+def random_masks(seed, count):
+    """(occupancy, cell size, origin) of random 2-D and 3-D masks."""
+    rng = np.random.default_rng(seed)
+    masks = []
+    while len(masks) < count:
+        dim = 2 + len(masks) % 2
+        occ = rng.random(tuple(rng.integers(1, 8, dim))) < rng.uniform(0.1, 0.9)
+        if occ.any():
+            masks.append((occ, float(rng.uniform(0.01, 2.0)), rng.uniform(-5.0, 5.0, dim)))
+    return masks
+
+
+def _checkerboard():
+    return np.indices((6, 5)).sum(axis=0) % 2 == 0, 0.25, np.array([0.0, 0.0])
+
+
+def _two_components():
+    occ = np.zeros((9, 4), dtype=bool)
+    occ[0:2, 0:2] = occ[6:9, 2:4] = True
+    return occ, 0.3, np.array([-1.5, 2.25])
+
+
+def _single_cell():
+    return np.ones((1, 1, 1), dtype=bool), 0.7, np.array([0.1, -0.2, 3.0])
+
+
+class TestRasterMaskOracles:
+    @pytest.mark.parametrize(
+        "make",
+        [_checkerboard, _two_components, _single_cell],
+        ids=["checkerboard", "two-components", "single-cell"],
+    )
+    def test_diameter_equals_corner_brute_force(self, make):
+        occ, cell, origin = make()
+        mask = RasterMask(occ.astype(int), cell, origin)
+        assert mask.metrics().diameter == corner_diameter(occ, cell, origin)
+
+    def test_random_mask_diameters_equal_corner_brute_force(self):
+        for occ, cell, origin in random_masks(7, 120):
+            mask = RasterMask(occ.astype(int), cell, origin)
+            assert mask.metrics().diameter == corner_diameter(occ, cell, origin)
+
+    def test_membership_follows_the_cell_rule(self):
+        cases = random_masks(11, 16) + [_checkerboard(), _two_components(), _single_cell()]
+        far = [1e300, -1e300, 1e18, -1e18, math.inf, math.nan]
+        for occ, cell, origin in cases:
+            mask = RasterMask(occ.astype(int), cell, origin)
+            points = []
+            for parts in (2, 3):  # lattices at h = cell/2 and cell/3, past the box
+                axes = [origin[a] + np.arange(-2, n * parts + 3) * (cell / parts)
+                        for a, n in enumerate(occ.shape)]
+                points += list(itertools.product(*axes))
+            inner = [origin + 0.5 * cell] * len(far)
+            points += [np.where(np.arange(occ.ndim) == a, x, p)
+                       for a in range(occ.ndim) for x, p in zip(far, inner)]
+            points += [[x] * occ.ndim for x in far]
+            points = np.array(points, dtype=float)
+            with np.errstate(invalid="ignore"):
+                got = mask.membership(points)
+            expected = [inside_by_rule(occ, cell, origin, p) for p in points]
+            assert got.tolist() == expected
+
+
 class TestValidation:
     def test_polygon_must_be_counterclockwise(self):
         with pytest.raises(DomainError):
@@ -301,6 +391,25 @@ class TestSpecRoundTrip:
     def test_string_or_boolean_param_names_field(self, kind, name, params):
         with pytest.raises(DomainError, match=f"param '{name}'"):
             domain_from_spec({"kind": kind, "dim": 2, "params": params})
+
+    @pytest.mark.parametrize(
+        "mask, offender",
+        [
+            ([[1, [True]], [["x"], 2], "late"], "'late'"),
+            ([[1, [[0]], [True]], [["x"], 2]], "True"),
+            ([[0, [[1, "deep"]]], [1, [False]]], "False"),
+        ],
+        ids=["shallowest-wins", "first-in-level", "ragged-depths"],
+    )
+    def test_first_offender_is_breadth_first(self, mask, offender):
+        # the walk goes level by level, so the offender named is the
+        # shallowest one, and the first of its level
+        spec = {"kind": "raster-mask", "dim": 2, "params": {"mask": mask, "cell_size": 0.5}}
+        with pytest.raises(DomainError) as err:
+            domain_from_spec(spec)
+        assert str(err.value) == (
+            f"domain spec param 'mask' must hold only JSON numbers, got {offender}"
+        )
 
     def test_mask_entries_must_be_zero_or_one(self):
         with pytest.raises(DomainError, match="0 or 1"):

@@ -7,9 +7,11 @@ Runs `specbound.cli.main` in-process on a fixed list of cases covering all
 five subcommands, including input errors and solver non-convergence, and
 imports `specbound` from the `src/` next to this script.  For each case it
 writes `OUTDIR/<case>/stdout`, `stderr` and `exit` (the exit code), plus
-`out` when the case writes its artifact to a file.  Every path that a case
-passes to the CLI is relative to a scratch working directory, so the
-captured text does not depend on where OUTDIR or the checkout lives.
+`out` when the case writes its artifact to a file; an exception that
+escapes the CLI is captured as exit 1 with an `uncaught` stderr line, as
+the interpreter would end.  Every path that a case passes to the CLI is
+relative to a scratch working directory, so the captured text does not
+depend on where OUTDIR or the checkout lives.
 
 To check that a change leaves every artifact as it was, run the script from
 the parent commit's checkout and from the changed one into two directories
@@ -89,6 +91,25 @@ CAVITY = {
     "params": {"mask": [[[1] * 3] * 3, [[1] * 3, [1, 0, 1], [1] * 3], [[1] * 3] * 3], "cell_size": 0.5},
 }
 
+# two blocks of cells, 2x2 and 3x2, off the origin; the diameter joins
+# a corner of one to a corner of the other
+TWO_BLOCKS = {
+    "kind": "raster-mask", "dim": 2,
+    "params": {
+        "mask": [[1, 1, 0, 0, 0], [1, 1, 0, 0, 0]] + [[0] * 5] * 2 + [[0, 0, 0, 1, 1]] * 3,
+        "cell_size": 0.25, "origin": [-0.375, 1.125],
+    },
+}
+
+# an L of three-by-three cells at an origin that no lattice spacing divides
+L_MASK = {
+    "kind": "raster-mask", "dim": 2,
+    "params": {"mask": [[1, 1, 1], [1, 0, 0], [1, 0, 0]], "cell_size": 0.25, "origin": [0.3, -0.7]},
+}
+
+# a spec nested past what the JSON parser can recurse into
+DEEP = '{"kind":"ball","dim":2,"params":{"center":%s,"radius":1}}' % ("[" * 100_000 + "0" + "]" * 100_000)
+
 # specs whose params hold a string, a boolean or a cell other than 0 and 1,
 # or whose dim is a string or a boolean
 REJECTED = {
@@ -145,6 +166,9 @@ def cases() -> list:
         ("sweep-masks-list-kind", ["sweep", "--family", "mask-batch", "--mask-dir", "list-kind", "--levels", "3"], None),
         ("sweep-solver-failures", ["sweep", "--family", "rectangle-aspect", "--values", "1,2", "--tol", "1e-30"], None),
         ("sweep-masks-comma-name", ["sweep", "--family", "mask-batch", "--mask-dir", "comma", "--levels", "3"], None),
+        ("certify-mask-two-blocks", ["certify", "--domain", json.dumps(TWO_BLOCKS), "--h-start", "0.125", "--levels", "3"], None),
+        ("sweep-masks-fractional-origin", ["sweep", "--family", "mask-batch", "--mask-dir", "fractional", "--h-start", "0.125", "--levels", "3"], None),
+        ("sweep-masks-deep", ["sweep", "--family", "mask-batch", "--mask-dir", "deep", "--levels", "3"], None),
         ("certify-mask3-cavity", ["certify", "--domain", json.dumps(CAVITY), "--h-start", "0.125", "--levels", "3"], None),
         # input errors (exit 2) and non-convergence (exit 3)
         ("error-unknown-kind", ["certify", "--domain", '{"kind":"torus","dim":2,"params":{}}'], None),
@@ -154,6 +178,7 @@ def cases() -> list:
         ("error-list-kind", ["dump-spec", "--domain", '{"kind":["ball"],"dim":2,"params":{"center":[0,0],"radius":1}}'], None),
         ("error-bad-value", ["dump-spec", "--domain", '{"kind":"ball","dim":2,"params":{"center":[0,0],"radius":"1"}}'], None),
         *((f"error-spec-{name}", ["dump-spec", "--domain", spec], None) for name, spec in REJECTED.items()),
+        ("error-deep-nesting", ["dump-spec", "--domain", DEEP], None),
         ("error-dim-mismatch", ["dump-spec", "--domain", '{"kind":"interval","dim":2,"params":{"a":0,"b":1}}'], None),
         ("error-levels", ["certify", "--domain", _spec("interval"), "--levels", "2"], None),
         ("error-tol-zero", ["certify", "--domain", _spec("interval"), "--tol", "0"], None),
@@ -210,6 +235,13 @@ def _prepare(work: Path):
     comma = work / "comma"
     comma.mkdir()
     (comma / "sq,1.json").write_text(json.dumps(SPECS["mask"]), encoding="utf-8")
+    (work / "fractional").mkdir()
+    (work / "fractional" / "l-shape.json").write_text(json.dumps(L_MASK), encoding="utf-8")
+    # a file nested too deeply to parse, then a good one
+    deep = work / "deep"
+    deep.mkdir()
+    (deep / "a-deep.json").write_text(DEEP, encoding="utf-8")
+    (deep / "b-block.json").write_text(json.dumps(SPECS["mask"]), encoding="utf-8")
 
 
 def run_case(argv: list, out_name: str | None, work: Path, dest: Path):
@@ -219,6 +251,9 @@ def run_case(argv: list, out_name: str | None, work: Path, dest: Path):
             code = cli.main(argv)
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
+        except Exception as exc:  # a crash, which exits 1 with a traceback
+            print(f"uncaught {type(exc).__name__}: {exc}", file=sys.stderr)
+            code = 1
     dest.mkdir(parents=True)
     (dest / "stdout").write_text(stdout.getvalue(), encoding="utf-8")
     (dest / "stderr").write_text(stderr.getvalue(), encoding="utf-8")
