@@ -6,6 +6,11 @@ omitted neighbors contribute nothing to the stencil, which imposes the
 homogeneous Dirichlet condition.  Adjacent interior points are found by
 one walk per axis, forward (`Grid.neighbor_pairs`); the backward pairs are
 the forward ones with source and target swapped.
+
+Interior points are numbered in row-major lattice order, so `assemble`
+writes each stencil row straight into CSR in ascending column order: the
+backward neighbors from the largest stride down, the point itself, then
+the forward neighbors from the smallest stride up.
 """
 
 from __future__ import annotations
@@ -124,7 +129,7 @@ def _transfer(operator, source: Grid, values: np.ndarray, target: Grid) -> np.nd
     # apply a 1-D operator along each axis of the box lattice, where
     # omitted points hold zero (the Dirichlet value)
     box = np.zeros(source.shape)
-    box.flat[source.interior_flat] = values
+    box.ravel()[source.interior_flat] = values  # a view: box is C-contiguous
     for axis, n in enumerate(target.shape):
         box = operator(box.swapaxes(0, axis), n).swapaxes(0, axis)
     return box.ravel()[target.interior_flat]
@@ -186,22 +191,22 @@ def assemble(grid: Grid) -> OperatorMatrix:
     Diagonal entries are 2*dim/h^2; each pair of adjacent interior points
     contributes -1/h^2 symmetrically.  Omitted neighbors contribute nothing.
     """
-    n = grid.point_count
+    n, dim = grid.point_count, grid.dim
     h2 = grid.spacing * grid.spacing
-    # one set of triplets, the diagonal first, converted once: summing a
-    # separate diagonal matrix held a second copy of the stencil at the
-    # level's memory peak
-    diagonal = np.arange(n)
-    rows, cols = [diagonal], [diagonal]
-    # each axis's backward pairs, then its forward pairs
-    for axis in range(grid.dim):
+    index = np.int32 if (2 * dim + 1) * n < 2**31 else np.int64  # scipy's choice
+    # one row per point in ascending column order (module docstring);
+    # -1 marks an omitted neighbor
+    cols = np.full((n, 2 * dim + 1), -1, dtype=index)
+    cols[:, dim] = np.arange(n)
+    for axis in range(dim):
         src, dst = grid.neighbor_pairs(axis)
-        rows += [dst, src]
-        cols += [src, dst]
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    values = np.full(rows.shape[0], -1.0 / h2)
-    values[:n] = 2.0 * grid.dim / h2
-    matrix = sparse.csr_matrix((values, (rows, cols)), shape=(n, n))
-    matrix.sort_indices()
-    return OperatorMatrix(matrix=matrix)
+        cols[dst, axis] = src
+        cols[src, 2 * dim - axis] = dst
+    del src, dst  # not held through the allocations below, where the peak is
+    present = cols >= 0
+    indices = cols[present]
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(present.sum(axis=1, dtype=index), out=indptr[1:])
+    data = np.full(indices.shape[0], -1.0 / h2)
+    data[indptr[:-1] + present[:, :dim].sum(axis=1, dtype=index)] = 2.0 * dim / h2
+    return OperatorMatrix(matrix=sparse.csr_matrix((data, indices, indptr), shape=(n, n)))

@@ -347,8 +347,14 @@ class RasterMask(Domain):
         """The occupancy array as 0/1 integers."""
         return self.occupied.astype(int)
 
-    def _cells_covering(self, points, offset):
-        return np.floor((points - self.origin) / self.cell_size + offset).astype(int)
+    def _cells_covering(self, points, offset, top):
+        # indices into the array padded by one free layer, clipped in float
+        # so that the cast sees neither NaN, nor inf, nor a value past int64;
+        # a coordinate that overflows to inf is clipped like any far one
+        with np.errstate(over="ignore"):
+            scaled = (points - self.origin) / self.cell_size
+        cells = np.clip(np.floor(scaled + offset) + 1, 0, top)
+        return np.where(np.isnan(cells), 0, cells).astype(int)
 
     def _membership(self, points):
         eps = 1e-9  # in cell units; lattice points sit exactly on cell faces
@@ -357,8 +363,8 @@ class RasterMask(Domain):
         # answers for cells past it, and so for far-away and NaN points
         padded = np.pad(self.occupied, 1)
         top = np.array(padded.shape) - 1
-        lo = np.clip(self._cells_covering(points, -eps) + 1, 0, top)
-        hi = np.clip(self._cells_covering(points, +eps) + 1, 0, top)
+        lo = self._cells_covering(points, -eps, top)
+        hi = self._cells_covering(points, +eps, top)
         steps = np.array(padded.strides) // padded.itemsize
         base = lo @ steps  # flat index of the lowest touching cell
         jumps = [(hi[:, a] - lo[:, a]) * steps[a] for a in range(self.dim)]

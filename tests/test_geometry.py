@@ -219,10 +219,14 @@ def corner_diameter(occ, cell, origin):
 def inside_by_rule(occ, cell, origin, point):
     """Whether every cell whose closure touches `point` (within 1e-9 of a
     cell) lies in the array and is occupied.  A point that is not finite
-    touches no cell and is outside."""
+    touches no cell and is outside, and so is one whose cell index
+    overflows."""
     if not all(math.isfinite(x) for x in point):
         return False
-    u = (np.asarray(point) - origin) / cell
+    with np.errstate(over="ignore"):
+        u = (np.asarray(point) - origin) / cell
+    if not np.all(np.isfinite(u)):
+        return False
     touching = [range(math.floor(x - 1e-9), math.floor(x + 1e-9) + 1) for x in u]
     for index in itertools.product(*touching):
         if not all(0 <= i < n for i, n in zip(index, occ.shape)) or not occ[index]:
@@ -274,7 +278,7 @@ class TestRasterMaskOracles:
 
     def test_membership_follows_the_cell_rule(self):
         cases = random_masks(11, 16) + [_checkerboard(), _two_components(), _single_cell()]
-        far = [1e300, -1e300, 1e18, -1e18, math.inf, math.nan]
+        far = [1.7e308, -1.7e308, 1e300, -1e300, 1e18, -1e18, math.inf, math.nan]
         for occ, cell, origin in cases:
             mask = RasterMask(occ.astype(int), cell, origin)
             points = []
@@ -287,8 +291,7 @@ class TestRasterMaskOracles:
                        for a in range(occ.ndim) for x, p in zip(far, inner)]
             points += [[x] * occ.ndim for x in far]
             points = np.array(points, dtype=float)
-            with np.errstate(invalid="ignore"):
-                got = mask.membership(points)
+            got = mask.membership(points)
             expected = [inside_by_rule(occ, cell, origin, p) for p in points]
             assert got.tolist() == expected
 
