@@ -22,10 +22,10 @@ from .geometry import (
     domain_from_spec,
     unit_ball_volume,
 )
-from .specfun import BesselZero, bessel_j, first_zero
 from .uncertainty import (
     UncertaintyReport,
     certify_bounds,
+    first_zero,
     krahn_ratio,
     momentum_stddev,
     position_stddev,
@@ -35,7 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Ball",
-    "BesselZero",
     "Box",
     "ConvergenceStudy",
     "Domain",
@@ -53,7 +52,6 @@ __all__ = [
     "UncertaintyReport",
     "WaveField",
     "assemble",
-    "bessel_j",
     "build_grid",
     "certify_bounds",
     "domain_from_spec",

@@ -3,7 +3,7 @@
 Subcommands
     lambda1      refinement study and extrapolated first eigenvalue
     certify      full pipeline with per-bound PASS/FAIL lines
-    bessel-zeros table of the sharp constants j_{n/2-1,1} and 2*j
+    bessel-zeros the sharp constants j_{n/2-1,1} and 2*j, as tabulated
     sweep        shape families to plot-ready CSV
     dump-spec    normalize and re-emit a domain spec
 
@@ -30,8 +30,7 @@ from .geometry import (
     RasterMask,
     domain_from_spec,
 )
-from .specfun import first_zero
-from .uncertainty import certify_bounds
+from .uncertainty import certify_bounds, first_zero
 
 __all__ = ["main"]
 
@@ -161,16 +160,9 @@ def _cmd_certify(args) -> int:
 def _cmd_bessel_zeros(args) -> int:
     rows = []
     for n in (1, 2, 3):
-        zero = first_zero(n / 2.0 - 1.0)
-        rows.append(
-            {
-                "n": n,
-                "order": zero.order,
-                "zero": zero.value,
-                "two_zero": 2.0 * zero.value,
-                "residual": zero.residual,
-            }
-        )
+        order = n / 2.0 - 1.0
+        zero = first_zero(order)
+        rows.append({"n": n, "order": order, "zero": zero, "two_zero": 2.0 * zero})
     out_path = args.out
     if args.format == "csv":
         _write_artifact(csv_text(rows[0], rows), out_path)
@@ -255,8 +247,7 @@ def _cmd_sweep(args) -> int:
             row.update(cells, kind=cells["domain_kind"], status="ok")
             row["observed_order"] = study.observed_order
         except (ValueError, SolverConvergenceError) as exc:
-            safe = str(exc).replace(",", ";").replace("\n", " ")
-            row["status"] = f"error: {safe}"
+            row["status"] = f"error: {exc}"
         rows.append(row)
     _write_artifact(csv_text(_SWEEP_COLUMNS, rows), args.out)
     return EXIT_OK

@@ -33,16 +33,20 @@ from .eigensolve import WaveField
 # patches uncertainty.smallest_eigenpairs by name.
 from .eigensolve import smallest_eigenpairs  # noqa: F401
 from .geometry import DomainMetrics, unit_ball_volume
-from .specfun import first_zero
 
 __all__ = [
     "BoundCheck",
     "UncertaintyReport",
     "certify_bounds",
+    "first_zero",
     "krahn_ratio",
     "momentum_stddev",
     "position_stddev",
 ]
+
+# j_{n/2-1,1}, the first positive zero of J_{n/2-1}, for n = 1, 2, 3,
+# correctly rounded; the tests check them against scipy.special
+_FIRST_ZEROS = {-0.5: math.pi / 2, 0.0: 2.404825557695773, 0.5: math.pi}
 
 _NORMALIZATION_TOL = 1e-10
 _IDENTITY_TOL = 1e-8  # slack for the exact-by-construction spectral bound
@@ -62,6 +66,17 @@ def _require_normalized(field: WaveField):
         raise ValueError(
             f"field must be h^n-normalized (|norm^2 - 1| = {drift:.2e})"
         )
+
+
+def first_zero(order: float) -> float:
+    """The first positive zero of J_order for order n/2 - 1, n = 1, 2, 3;
+    raises ValueError for any other order."""
+    try:
+        return _FIRST_ZEROS[order]
+    except KeyError:
+        raise ValueError(
+            f"unsupported order {order}; supported: {sorted(_FIRST_ZEROS)}"
+        ) from None
 
 
 def momentum_stddev(matrix: OperatorMatrix, field: WaveField, hbar: float = 1.0) -> float:
@@ -87,7 +102,8 @@ def position_stddev(field: WaveField) -> float:
 
 
 def krahn_ratio(lambda1: float, metrics: DomainMetrics, n: int) -> float:
-    """lambda1 over its isoperimetric lower bound (C_n/|D|)^(2/n) j^2.
+    """lambda1 over its isoperimetric lower bound (C_n/|D|)^(2/n) j^2, with
+    j = j_{n/2-1,1} the tabulated constant of `first_zero`.
 
     The ratio is >= 1 for converged lambda1 and equals 1 exactly for balls.
     `unit_ball_volume` and `first_zero` raise ValueError unless n is 1, 2, 3.
@@ -97,7 +113,7 @@ def krahn_ratio(lambda1: float, metrics: DomainMetrics, n: int) -> float:
     if not metrics.volume > 0:
         raise ValueError("metrics.volume must be positive")
     zero = first_zero(n / 2.0 - 1.0)
-    bound = (unit_ball_volume(n) / metrics.volume) ** (2.0 / n) * zero.value**2
+    bound = (unit_ball_volume(n) / metrics.volume) ** (2.0 / n) * zero**2
     return lambda1 / bound
 
 
@@ -268,7 +284,7 @@ def certify_bounds(study: ConvergenceStudy, hbar: float = 1.0) -> UncertaintyRep
 
     margins = {
         "eq7": sigma_p / (hbar * math.sqrt(lambda1_discrete)) - 1.0,
-        "eq10": diameter_product / (2.0 * zero.value) - 1.0,
+        "eq10": diameter_product / (2.0 * zero) - 1.0,
         "kennard": sigma_p * sigma_x / (hbar / 2.0) - 1.0,
     }
     ratio = krahn_ratio(lambda1, metrics, n)
@@ -283,7 +299,7 @@ def certify_bounds(study: ConvergenceStudy, hbar: float = 1.0) -> UncertaintyRep
         sigma_p=sigma_p,
         sigma_x=sigma_x,
         metrics=metrics,
-        bessel_zero=zero.value,
+        bessel_zero=zero,
         krahn_ratio=ratio,
         diameter_product=diameter_product,
         diameter_product_discrete=diameter_product_discrete,

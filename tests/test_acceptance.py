@@ -90,9 +90,9 @@ def suite_reports(core_studies, extra_studies):
 def test_criterion_1_bessel_constants():
     with criterion(1, "first Bessel zeros at their sharp values"):
         start = time.perf_counter()
-        assert abs(first_zero(0).value - 2.40482555769) <= 1e-9
-        assert abs(first_zero(-0.5).value - PI / 2.0) <= 1e-12
-        assert abs(first_zero(0.5).value - PI) <= 1e-12
+        assert abs(first_zero(0) - 2.40482555769) <= 1e-9
+        assert first_zero(-0.5) == PI / 2.0
+        assert first_zero(0.5) == PI
         assert time.perf_counter() - start < 1.0
 
 
@@ -127,7 +127,7 @@ def test_criterion_4_krahn_certification(suite_reports):
             assert report.krahn_ratio >= 1.0 - report.tolerance_band, name
         assert suite_reports["disk"].krahn_ratio == pytest.approx(1.0, abs=1e-2)
         assert suite_reports["ball"].krahn_ratio == pytest.approx(1.0, abs=1e-2)
-        derived_square = 2.0 * PI / first_zero(0).value ** 2
+        derived_square = 2.0 * PI / first_zero(0) ** 2
         assert suite_reports["square"].krahn_ratio == pytest.approx(
             derived_square, rel=1e-2
         )
@@ -163,7 +163,7 @@ def test_criterion_5_spectral_bound(suite_reports):
 
 def test_criterion_6_diameter_bounds(core_studies, extra_studies, suite_reports):
     with criterion(6, "sigma_p*d against pi, 2*j01, 2*pi with ball equality"):
-        two_j01 = 2.0 * first_zero(0).value
+        two_j01 = 2.0 * first_zero(0)
         # n = 1: grid-exact boundary, 0.1 percent
         interval = suite_reports["interval"]
         assert interval.diameter_product == pytest.approx(PI, rel=1e-3)
