@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 
 from specbound import (
     Ball,
@@ -12,7 +11,6 @@ from specbound import (
     assemble,
     build_grid,
     certify_bounds,
-    first_zero,
     krahn_ratio,
     momentum_stddev,
     position_stddev,
@@ -23,25 +21,6 @@ from specbound import (
 from conftest import normalized, rayleigh_quotient
 
 J01 = 2.404825557695773
-
-
-class TestFirstZero:
-    # scipy.special is the independent oracle for the tabulated constants
-    def test_order_minus_half_is_half_pi(self):
-        assert first_zero(-0.5) == math.pi / 2
-
-    def test_order_half_is_pi(self):
-        assert first_zero(0.5) == math.pi
-
-    def test_order_zero(self):
-        zero = first_zero(0)
-        assert abs(zero - float(scipy.special.jn_zeros(0, 1)[0])) <= math.ulp(zero)
-        assert abs(float(scipy.special.j0(zero))) < 1e-15
-
-    @pytest.mark.parametrize("order", [1.0, math.nan])
-    def test_unsupported_order_rejected(self, order):
-        with pytest.raises(ValueError):
-            first_zero(order)
 
 
 def ground_state(domain, h):
