@@ -121,10 +121,11 @@ def refine(
     extrapolants = lams[1:] + diffs / factor
     extrapolated = float(extrapolants[-1])
     error_estimate = float(abs(extrapolants[-1] - extrapolants[-2]))
-    if error_estimate <= 1e-9 * max(1.0, abs(extrapolated)):
+    if error_estimate <= 1e-9 * abs(extrapolated):
         # with three levels the fitted order reproduces both extrapolants
         # exactly and their gap is pure roundoff; fall back to the size of
-        # the last Richardson correction as a conservative estimate
+        # the last Richardson correction as a conservative estimate; the
+        # test is relative, so scaling the domain changes no decision
         error_estimate = float(abs(extrapolants[-1] - lams[-1]))
     signs = np.sign(diffs)
     monotone = bool(np.all(signs >= 0) or np.all(signs <= 0))

@@ -3,9 +3,10 @@
 The lattice is anchored at the corner of the domain's bounding box.  A
 lattice point becomes an unknown iff it lies strictly inside the domain;
 omitted neighbors contribute nothing to the stencil, which imposes the
-homogeneous Dirichlet condition.  Adjacent interior points are found by
-one walk per axis, forward (`Grid.neighbor_pairs`); the backward pairs are
-the forward ones with source and target swapped.
+homogeneous Dirichlet condition.  `assemble` finds adjacent interior
+points by one forward walk per axis, through an inverse index it builds
+and frees itself; the backward pairs are the forward ones with source and
+target swapped.
 
 Interior points are numbered in row-major lattice order, so `assemble`
 writes each stencil row straight into CSR in ascending column order: the
@@ -35,8 +36,9 @@ class Grid:
     """Interior lattice points of a domain at spacing h.
 
     `interior_flat` holds flat lattice indices (row-major over `shape`) of
-    the interior points in ascending order; `index_of` maps a flat lattice
-    index to the 0..N-1 interior numbering, with -1 for omitted points.
+    the interior points in ascending order, so point i is the i-th interior
+    point in lattice order.  Nothing is stored per lattice point: a grid
+    costs 8 bytes per interior point, whatever the size of the box.
     """
 
     domain: Domain
@@ -44,7 +46,6 @@ class Grid:
     origin: np.ndarray
     shape: tuple
     interior_flat: np.ndarray
-    index_of: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -58,18 +59,6 @@ class Grid:
         """Coordinates of the interior points, shape (N, dim)."""
         multi = np.array(np.unravel_index(self.interior_flat, self.shape)).T
         return self.origin + multi * self.spacing
-
-    def neighbor_pairs(self, axis: int):
-        """Interior-index pairs (src, dst) with dst one lattice cell past src
-        along `axis`; pairs whose target is omitted are dropped.  The pairs
-        one cell back are the same with src and dst swapped."""
-        # row-major: a point's coordinate along `axis` is (flat // stride)
-        # % shape[axis], and one cell forward adds stride to flat
-        stride = math.prod(self.shape[axis + 1:])
-        valid = (self.interior_flat // stride) % self.shape[axis] + 1 < self.shape[axis]
-        dst = self.index_of[self.interior_flat[valid] + stride]
-        src = np.nonzero(valid)[0][dst >= 0]
-        return src, dst[dst >= 0]
 
 
 @dataclass(frozen=True)
@@ -170,18 +159,15 @@ def build_grid(domain: Domain, h: float) -> Grid:
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
     inside = domain.membership(points)
-    interior_flat = np.nonzero(inside)[0].astype(np.int64)
+    interior_flat = np.nonzero(inside)[0]
     if interior_flat.shape[0] == 0:
         raise GridError(f"no interior lattice point at spacing {h}; refine h")
-    index_of = np.full(points.shape[0], -1, dtype=np.int64)
-    index_of[interior_flat] = np.arange(interior_flat.shape[0])
     return Grid(
         domain=domain,
         spacing=float(h),
         origin=origin,
         shape=shape,
         interior_flat=interior_flat,
-        index_of=index_of,
     )
 
 
@@ -194,15 +180,26 @@ def assemble(grid: Grid) -> OperatorMatrix:
     n, dim = grid.point_count, grid.dim
     h2 = grid.spacing * grid.spacing
     index = np.int32 if (2 * dim + 1) * n < 2**31 else np.int64  # scipy's choice
+    flat, shape = grid.interior_flat, grid.shape
+    # the interior numbering of every lattice point, -1 where omitted
+    number = np.full(math.prod(shape), -1, dtype=index)
+    number[flat] = np.arange(n)
     # one row per point in ascending column order (module docstring);
     # -1 marks an omitted neighbor
     cols = np.full((n, 2 * dim + 1), -1, dtype=index)
     cols[:, dim] = np.arange(n)
     for axis in range(dim):
-        src, dst = grid.neighbor_pairs(axis)
+        # row-major: a point's coordinate along `axis` is (flat // stride)
+        # % shape[axis], and one cell forward adds stride to flat
+        stride = math.prod(shape[axis + 1:])
+        valid = (flat // stride) % shape[axis] + 1 < shape[axis]
+        dst = number[flat[valid] + stride]
+        src = np.nonzero(valid)[0][dst >= 0]
+        dst = dst[dst >= 0]
         cols[dst, axis] = src
         cols[src, 2 * dim - axis] = dst
-    del src, dst  # not held through the allocations below, where the peak is
+    # not held through the allocations below, where the peak is
+    del number, valid, src, dst
     present = cols >= 0
     indices = cols[present]
     indptr = np.zeros(n + 1, dtype=index)

@@ -242,17 +242,18 @@ class Polygon(Domain):
         signed = _shoelace(verts)
         if signed <= 0:
             raise DomainError("vertices must be in counterclockwise order")
-        if _self_intersects(verts):
-            raise DomainError("polygon must be simple (non-self-intersecting)")
-        self.vertices = verts
         box = np.stack([verts.min(axis=0), verts.max(axis=0)], axis=1)
         super().__init__(2, box)
+        # tolerances are relative to the extent, so scaling moves no decision
         self._scale = float(np.max(box[:, 1] - box[:, 0]))
+        if _self_intersects(verts, self._scale):
+            raise DomainError("polygon must be simple (non-self-intersecting)")
+        self.vertices = verts
 
     def _membership(self, points):
         on_edge = np.zeros(points.shape[0], dtype=bool)
         inside = np.zeros(points.shape[0], dtype=bool)
-        eps = 1e-12 * max(self._scale, 1.0)
+        eps = 1e-12 * self._scale
         px, py = points[:, 0], points[:, 1]
         verts = self.vertices
         m = verts.shape[0]
@@ -263,11 +264,9 @@ class Polygon(Domain):
             cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
             dot = (px - ax) * (bx - ax) + (py - ay) * (by - ay)
             seg2 = (bx - ax) ** 2 + (by - ay) ** 2
-            on_edge |= (
-                (np.abs(cross) <= eps * math.sqrt(seg2))
-                & (dot >= -eps)
-                & (dot <= seg2 + eps)
-            )
+            # cross and dot are lengths times the edge length
+            band = eps * math.sqrt(seg2)
+            on_edge |= (np.abs(cross) <= band) & (dot >= -band) & (dot <= seg2 + band)
             # even-odd ray casting, half-open in y to be vertex-safe
             crosses = (ay <= py) != (by <= py)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -292,12 +291,14 @@ def _shoelace(verts: np.ndarray) -> float:
     return float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def _self_intersects(verts: np.ndarray) -> bool:
+def _self_intersects(verts: np.ndarray, extent: float) -> bool:
     m = verts.shape[0]
+    # a cross product is an area: collinear below 1e-14 of the extent squared
+    flat = 1e-14 * extent * extent
 
     def orient(p, q, r):
         v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-        return 0 if abs(v) < 1e-14 else (1 if v > 0 else -1)
+        return 0 if abs(v) < flat else (1 if v > 0 else -1)
 
     for i in range(m):
         a, b = verts[i], verts[(i + 1) % m]

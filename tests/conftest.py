@@ -13,6 +13,22 @@ def rayleigh_quotient(matrix, v):
     return float(v @ (matrix.matrix @ v) / (v @ v))
 
 
+def lattice_pairs(grid, axis, step=1):
+    """Interior-index pairs (src, dst) with dst `step` lattice cells from
+    src along `axis`, in ascending src; pairs whose target is omitted are
+    dropped.  The shift is done on lattice multi-indices and the target is
+    numbered through a map of its own, so no library walk is involved."""
+    number = {int(flat): i for i, flat in enumerate(grid.interior_flat)}
+    multi = np.array(np.unravel_index(grid.interior_flat, grid.shape)).T
+    multi[:, axis] += step
+    on_lattice = (multi[:, axis] >= 0) & (multi[:, axis] < grid.shape[axis])
+    target = np.full(grid.point_count, -1)
+    flat = np.ravel_multi_index(tuple(multi[on_lattice].T), grid.shape)
+    target[on_lattice] = [number.get(int(f), -1) for f in flat]
+    src = np.nonzero(target >= 0)[0]
+    return src, target[src]
+
+
 def normalized(field):
     """`field` rescaled to unit h^n-weighted norm."""
     return WaveField(field.values / math.sqrt(field.norm_squared()), field.grid)

@@ -31,7 +31,7 @@ from specbound import (
 )
 from specbound.cli import main as cli_main
 
-from conftest import L_VERTICES, normalized, rayleigh_quotient
+from conftest import L_VERTICES, lattice_pairs, normalized, rayleigh_quotient
 from test_discretize import interval_eigenvalues
 
 J01 = 2.40482555769
@@ -240,7 +240,7 @@ def test_criterion_8_property_suites(tmp_path, capsys):
             field = spectrum.wavefield(grid)
             psi, n = field.values, grid.point_count
             for axis in range(grid.dim):
-                src, dst = grid.neighbor_pairs(axis)
+                src, dst = lattice_pairs(grid, axis)
                 signs = np.concatenate([np.ones(len(src)), -np.ones(len(src))])
                 d = sparse.csr_matrix(
                     (signs, (np.concatenate([src, dst]), np.concatenate([dst, src]))), shape=(n, n)

@@ -6,6 +6,8 @@ import pytest
 from specbound import (
     Ball,
     Box,
+    DomainError,
+    Ellipse,
     Interval,
     Polygon,
     RasterMask,
@@ -186,3 +188,34 @@ class TestStudyShape:
             b = refine(domain, 1.0 / 8, 3)
             assert a.to_csv() == b.to_csv()
             assert np.array_equal(a.lambda1_values, b.lambda1_values)
+
+
+# each kind of domain scaled by s; at a power of two every lattice
+# coordinate and matrix entry scales exactly
+SCALED = {
+    "interval": lambda s: Interval(0.0, s),
+    "box": lambda s: Box([[0.0, 2.0 * s], [0.0, s]]),
+    "disk": lambda s: Ball([0.0, 0.0], s),
+    "ellipse": lambda s: Ellipse([0.0, 0.0], [s, 0.5 * s]),
+    "polygon": lambda s: Polygon(np.array(L_VERTICES) * s),
+    "mask": lambda s: RasterMask([[1, 1, 1], [1, 0, 1], [1, 1, 1]], 0.5 * s),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCALED))
+def test_study_is_scale_covariant(kind):
+    # lambda1 scales as s^-2, and so must its error estimate: no tolerance
+    # or fallback may depend on the absolute size of the domain
+    unit = refine(SCALED[kind](1.0), 1.0 / 8, 4)
+    for s in (2.0**-20, 2.0**10):
+        study = refine(SCALED[kind](s), s / 8, 4)
+        assert study.lambda1_values * s * s == pytest.approx(unit.lambda1_values, rel=1e-9)
+        assert study.extrapolated * s * s == pytest.approx(unit.extrapolated, rel=1e-9)
+        assert study.error_estimate * s * s == pytest.approx(unit.error_estimate, rel=1e-9)
+
+
+@pytest.mark.parametrize("s", [1e-8, 1.0])
+def test_figure_eight_rejected_at_every_scale(s):
+    figure_eight = np.array([[0, 0], [4, 0], [0, 2], [1, -1], [0.5, -1.5]]) * s
+    with pytest.raises(DomainError, match="simple"):
+        Polygon(figure_eight)

@@ -17,7 +17,7 @@ from specbound import (
 )
 from specbound.discretize import _prolong, _restrict
 
-from conftest import L_VERTICES
+from conftest import L_VERTICES, lattice_pairs
 
 # (domain, coarse spacing); the 3-ball's 0.3 divides no box edge, so its
 # finest fine index is clipped onto the last coarse one
@@ -69,9 +69,21 @@ class TestBuildGrid:
         assert bool(np.all(l_polygon.membership(grid.points())))
 
     def test_indices_are_bijective(self, unit_disk):
+        # point i is the i-th interior point in lattice order, the numbering
+        # that assemble's forward walk and CSR rows rely on
         grid = build_grid(unit_disk, 0.25)
-        linear = grid.index_of[grid.interior_flat]
-        assert sorted(linear.tolist()) == list(range(grid.point_count))
+        assert grid.point_count > 1
+        assert np.all(np.diff(grid.interior_flat) > 0)
+
+    def test_grid_storage_is_proportional_to_points(self):
+        # a sparse 3-D mask: 64 of 32^3 cells, so the box has 65^3 lattice
+        # points for 7^3 interior ones
+        mask = np.zeros((32, 32, 32), dtype=int)
+        mask[:4, :4, :4] = 1
+        grid = build_grid(RasterMask(mask, cell_size=1.0 / 32), 1.0 / 64)
+        arrays = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
+        assert (grid.shape, grid.point_count) == ((65, 65, 65), 343)
+        assert sum(a.nbytes for a in arrays) <= 8 * grid.point_count + 8 * grid.dim
 
     def test_nonpositive_spacing_rejected(self, unit_interval):
         with pytest.raises(GridError):
@@ -98,44 +110,15 @@ class TestBuildGrid:
             build_grid(sliver, 0.3)
 
 
-class TestNeighborPairs:
-    @staticmethod
-    def reference(grid, axis, step):
-        # the shift done on lattice multi-indices
-        multi = np.array(np.unravel_index(grid.interior_flat, grid.shape)).T
-        multi[:, axis] += step
-        valid = (multi[:, axis] >= 0) & (multi[:, axis] < grid.shape[axis])
-        flat = np.ravel_multi_index(tuple(multi[valid].T), grid.shape)
-        dst = grid.index_of[flat]
-        src = np.nonzero(valid)[0][dst >= 0]
-        return src, dst[dst >= 0]
-
-    @pytest.mark.parametrize(
-        "domain, h",
-        TRANSFER_CASES + [(Interval(0.0, 1.0), 0.125), (Box([[0.0, 1.0]] * 3), 0.125)],
-        ids=TRANSFER_IDS + ["interval", "cube"],
-    )
-    def test_matches_multi_index_reference(self, domain, h):
-        grid = build_grid(domain, h)
-        for axis in range(grid.dim):
-            src, dst = grid.neighbor_pairs(axis)
-            ref_src, ref_dst = self.reference(grid, axis, 1)
-            assert np.array_equal(src, ref_src)
-            assert np.array_equal(dst, ref_dst)
-            # the pairs one cell back are the forward pairs swapped, in order
-            back_src, back_dst = self.reference(grid, axis, -1)
-            assert np.array_equal(back_src, dst)
-            assert np.array_equal(back_dst, src)
-
-
 class TestAssemble:
     @pytest.mark.parametrize(
         "domain, h",
         TRANSFER_CASES + [
             (Interval(0.0, 1.0), 0.125),
             (RasterMask([[0, 0, 0], [0, 1, 0], [0, 0, 0]], 1.0 / 3), 0.25),
+            (Box([[0.0, 1.0]] * 3), 0.125),
         ],
-        ids=TRANSFER_IDS + ["interval", "one-point"],
+        ids=TRANSFER_IDS + ["interval", "one-point", "cube"],
     )
     def test_matches_summed_reference(self, domain, h):
         # the stencil as the sum of an off-diagonal and a diagonal matrix
@@ -143,8 +126,7 @@ class TestAssemble:
         n, h2 = grid.point_count, h * h
         pairs = []
         for axis in range(grid.dim):
-            src, dst = grid.neighbor_pairs(axis)
-            pairs += [(dst, src), (src, dst)]
+            pairs += [lattice_pairs(grid, axis, 1), lattice_pairs(grid, axis, -1)]
         rows = np.concatenate([src for src, _ in pairs])
         cols = np.concatenate([dst for _, dst in pairs])
         off = sparse.coo_matrix((np.full(rows.shape[0], -1.0 / h2), (rows, cols)), shape=(n, n))
@@ -291,8 +273,9 @@ class TestProlong:
         even = np.all(m % 2 == 0, axis=1)
         flat = np.ravel_multi_index(tuple((m[even] // 2).T), coarse.shape)
         assert even.sum() > 0
-        assert np.all(coarse.index_of[flat] >= 0)
-        assert np.array_equal(out[even], values[coarse.index_of[flat]])
+        at = np.searchsorted(coarse.interior_flat, flat)
+        assert np.array_equal(coarse.interior_flat[at], flat)
+        assert np.array_equal(out[even], values[at])
 
     @pytest.mark.parametrize(
         "domain, h", TRANSFER_CASES + [(Box([[0.0, 0.7], [0.0, 1.3]]), 0.1)],

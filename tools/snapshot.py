@@ -107,6 +107,11 @@ L_MASK = {
     "params": {"mask": [[1, 1, 1], [1, 0, 0], [1, 0, 0]], "cell_size": 0.25, "origin": [0.3, -0.7]},
 }
 
+# the L-shape scaled by 2^-20 and the 2x1 box by 2^10: powers of two keep
+# every lattice exact, so both read as the unit cases scaled by s^-2
+SMALL_L = {"kind": "polygon", "dim": 2, "params": {"vertices": [[x * 2.0**-20, y * 2.0**-20] for x, y in L_VERTICES]}}
+LARGE_BOX = {"kind": "box", "dim": 2, "params": {"bounds": [[0, 2048], [0, 1024]]}}
+
 # a spec nested past what the JSON parser can recurse into
 DEEP = '{"kind":"ball","dim":2,"params":{"center":%s,"radius":1}}' % ("[" * 100_000 + "0" + "]" * 100_000)
 
@@ -170,6 +175,8 @@ def cases() -> list:
         ("sweep-masks-fractional-origin", ["sweep", "--family", "mask-batch", "--mask-dir", "fractional", "--h-start", "0.125", "--levels", "3"], None),
         ("sweep-masks-deep", ["sweep", "--family", "mask-batch", "--mask-dir", "deep", "--levels", "3"], None),
         ("certify-mask3-cavity", ["certify", "--domain", json.dumps(CAVITY), "--h-start", "0.125", "--levels", "3"], None),
+        ("certify-polygon-small", ["certify", "--domain", json.dumps(SMALL_L), "--h-start", repr(2.0**-23)], None),
+        ("lambda1-box-large", ["lambda1", "--domain", json.dumps(LARGE_BOX), "--h-start", "128", "--levels", "4"], None),
         # input errors (exit 2) and non-convergence (exit 3)
         ("error-unknown-kind", ["certify", "--domain", '{"kind":"torus","dim":2,"params":{}}'], None),
         ("error-malformed-json", ["lambda1", "--domain", '{"kind":'], None),
