@@ -55,8 +55,6 @@ def _emit(obj, pieces):
         pieces.append(json.dumps(obj))
     elif isinstance(obj, (bool, int, float, np.bool_, np.integer, np.floating)):
         pieces.append(format_cell(obj))
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), pieces)
     elif isinstance(obj, dict):
         pieces.append("{")
         for i, (key, value) in enumerate(obj.items()):

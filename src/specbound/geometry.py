@@ -7,12 +7,16 @@ after a translation, does not move a boundary point in.  Every shape is
 immutable after construction and all operations are pure functions of the
 shape parameters, so instances are safe to share across threads.
 
-The unit-ball volume C_n is taken in closed form: 2, pi and 4*pi/3.  A
-raster mask's diameter is exact: the largest distance between two vertices
-of its cells, searched only among the vertices that are not the midpoint of
-two others along an axis, which hold every extreme point of the convex hull.
+A ball is the ellipse whose semi-axes all equal its radius, as an interval
+is the 1-D box, so the two share one membership test and one set of closed
+forms; an ellipse has one to three axes.  The unit-ball volume C_n is taken
+in closed form: 2, pi and 4*pi/3.  A raster mask's diameter is exact: the
+largest distance between two vertices of its cells, searched only among the
+vertices that are not the midpoint of two others along an axis, which hold
+every extreme point of the convex hull.
 A spec's params hold JSON numbers only, in lists at any depth; a string or a
-boolean is an error, never read as a number.
+boolean is an error, never read as a number.  A key that the kind's
+constructor does not take, in the spec or in its params, is an error too.
 """
 
 from __future__ import annotations
@@ -154,32 +158,6 @@ class Interval(Box):
         super().__init__([[self.a, self.b]])
 
 
-class Ball(Domain):
-    """A solid ball (segment / disk / ball for n = 1, 2, 3)."""
-
-    kind = "ball"
-
-    def __init__(self, center, radius: float):
-        center = np.atleast_1d(np.asarray(center, dtype=float))
-        if radius <= 0:
-            raise DomainError(f"radius must be positive, got {radius}")
-        self.center = center
-        self.radius = float(radius)
-        box = np.stack([center - radius, center + radius], axis=1)
-        super().__init__(center.shape[0], box)
-
-    def _membership(self, points):
-        r2 = np.sum((points - self.center) ** 2, axis=1)
-        return r2 < self.radius**2 * (1.0 - _BAND)
-
-    def metrics(self):
-        return DomainMetrics(
-            volume=unit_ball_volume(self.dim) * self.radius**self.dim,
-            diameter=2.0 * self.radius,
-            perimeter=2.0 * math.pi * self.radius if self.dim == 2 else None,
-        )
-
-
 def _agm_ellipse_perimeter(a: float, b: float) -> float:
     # Complete elliptic integral of the second kind via the
     # arithmetic-geometric mean; quadratically convergent.
@@ -200,7 +178,8 @@ def _agm_ellipse_perimeter(a: float, b: float) -> float:
 
 
 class Ellipse(Domain):
-    """An axis-aligned ellipse (n = 2) or ellipsoid (n = 3)."""
+    """An axis-aligned ellipse (n = 2) or ellipsoid (n = 3); in 1-D, the
+    segment center +/- semi_axes[0]."""
 
     kind = "ellipse"
 
@@ -209,8 +188,6 @@ class Ellipse(Domain):
         semi = np.atleast_1d(np.asarray(semi_axes, dtype=float))
         if center.shape != semi.shape:
             raise DomainError("center and semi_axes must have the same length")
-        if semi.shape[0] not in (2, 3):
-            raise DomainError("ellipse supports dim 2 or 3")
         if not np.all(semi > 0):
             raise DomainError("semi-axes must be positive")
         self.center = center
@@ -219,8 +196,10 @@ class Ellipse(Domain):
         super().__init__(semi.shape[0], box)
 
     def _membership(self, points):
-        q = np.sum(((points - self.center) / self.semi_axes) ** 2, axis=1)
-        return q < 1.0 - _BAND
+        q = points - self.center
+        q /= self.semi_axes
+        q *= q
+        return q.sum(axis=1) < 1.0 - _BAND
 
     def metrics(self):
         return DomainMetrics(
@@ -228,6 +207,19 @@ class Ellipse(Domain):
             diameter=2.0 * float(np.max(self.semi_axes)),
             perimeter=_agm_ellipse_perimeter(*self.semi_axes) if self.dim == 2 else None,
         )
+
+
+class Ball(Ellipse):
+    """A solid ball (segment / disk / ball for n = 1, 2, 3): the round ellipse."""
+
+    kind = "ball"
+
+    def __init__(self, center, radius: float):
+        center = np.atleast_1d(np.asarray(center, dtype=float))
+        if not radius > 0:
+            raise DomainError(f"radius must be positive, got {radius}")
+        self.radius = float(radius)
+        super().__init__(center, [self.radius] * center.shape[0])
 
 
 class Polygon(Domain):
@@ -253,7 +245,7 @@ class Polygon(Domain):
     def _membership(self, points):
         on_edge = np.zeros(points.shape[0], dtype=bool)
         inside = np.zeros(points.shape[0], dtype=bool)
-        eps = 1e-12 * self._scale
+        eps = _BAND * self._scale
         px, py = points[:, 0], points[:, 1]
         verts = self.vertices
         m = verts.shape[0]
@@ -454,7 +446,7 @@ def domain_from_spec(spec: dict) -> Domain:
 
     Expected shape: {"kind": ..., "dim": n, "params": {...}}, where `params`
     holds the arguments of the kind's constructor by name; those with a
-    default may be left out.
+    default may be left out.  Any other key is an error.
     """
     if not isinstance(spec, dict):
         raise DomainError("domain spec must be a JSON object")
@@ -471,6 +463,15 @@ def domain_from_spec(spec: dict) -> Domain:
     params = spec.get("params")
     if not isinstance(params, dict):
         raise DomainError("domain spec is missing the 'params' object")
+    cls = _KINDS[kind]
+    fields = inspect.signature(cls).parameters
+    # a misspelt key would otherwise be dropped, or its default used
+    extra = sorted(spec.keys() - {"kind", "dim", "params"}, key=str)
+    if extra:
+        raise DomainError(f"domain spec has unknown key {extra[0]!r} (expected kind, dim, params)")
+    extra = sorted(params.keys() - fields.keys(), key=str)
+    if extra:
+        raise DomainError(f"{kind} params have unknown key {extra[0]!r} (expected {', '.join(fields)})")
     # numpy would read the string "0" as an occupied cell and true as 1.
     # The walk is breadth first, a level at a time, so that the first
     # offender is the shallowest and a regular nested list flattens at C speed
@@ -490,11 +491,10 @@ def domain_from_spec(spec: dict) -> Domain:
             if not all(lists):
                 level = [x for x in level if isinstance(x, list)]
             level = list(chain.from_iterable(level))
-    cls = _KINDS[kind]
     try:
         args = [
             params[arg.name] if arg.default is arg.empty else params.get(arg.name, arg.default)
-            for arg in inspect.signature(cls).parameters.values()
+            for arg in fields.values()
         ]
         domain = cls(*args)
     except KeyError as exc:

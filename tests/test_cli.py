@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from specbound._format import format_float
 from specbound.cli import main
 
 INTERVAL = '{"kind":"interval","dim":1,"params":{"a":0,"b":1}}'
@@ -356,6 +357,116 @@ class TestDumpSpec:
         assert code == 2
         assert out == ""
         assert err == "error: invalid domain JSON: nested too deeply to parse\n"
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (
+                '{"kind":"raster-mask","dim":2,"params":{"mask":[[1,1],[1,0]],"cell_size":0.5,"orgin":[3,4]}}',
+                "raster-mask params have unknown key 'orgin' (expected mask, cell_size, origin)",
+            ),
+            (
+                '{"kind":"ball","dim":2,"params":{"center":[0,0],"radius":1,"spin":2,"axis":[0,1]}}',
+                "ball params have unknown key 'axis' (expected center, radius)",
+            ),
+            (
+                '{"kind":"ball","dims":3,"params":{"center":[0,0,0],"radius":1,"spin":2}}',
+                "domain spec has unknown key 'dims' (expected kind, dim, params)",
+            ),
+        ],
+        ids=["misspelt-origin", "extra-ball-param", "extra-top-level-key"],
+    )
+    def test_unknown_key_is_input_error_naming_it(self, capsys, spec, message):
+        # the first unknown key in sorted order, top-level keys before params
+        code, out, err = run(capsys, "dump-spec", "--domain", spec)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+# (argv, the start of stderr) for input checks that exit 2; they run in a
+# directory holding `list.json`, a spec file whose JSON is a list, and `adir`
+INPUT_ERRORS = {
+    "infinite-bound": (
+        ["dump-spec", "--domain", '{"kind":"box","dim":2,"params":{"bounds":[[0,Infinity],[0,1]]}}'],
+        "error: bounding box must be finite\n",
+    ),
+    "flat-bounds": (
+        ["dump-spec", "--domain", '{"kind":"box","dim":1,"params":{"bounds":[0,1]}}'],
+        "error: bounds must be (dim, 2), got (2,)\n",
+    ),
+    "ellipse-lengths": (
+        ["dump-spec", "--domain", '{"kind":"ellipse","dim":2,"params":{"center":[0,0],"semi_axes":[1]}}'],
+        "error: center and semi_axes must have the same length\n",
+    ),
+    "ellipse-zero-axis": (
+        ["dump-spec", "--domain", '{"kind":"ellipse","dim":2,"params":{"center":[0,0],"semi_axes":[1,0]}}'],
+        "error: semi-axes must be positive\n",
+    ),
+    "two-vertices": (
+        ["dump-spec", "--domain", '{"kind":"polygon","dim":2,"params":{"vertices":[[0,0],[1,0]]}}'],
+        "error: vertices must be an (m >= 3, 2) array\n",
+    ),
+    "flat-mask": (
+        ["dump-spec", "--domain", '{"kind":"raster-mask","dim":1,"params":{"mask":[1,1],"cell_size":0.5}}'],
+        "error: mask must be a 2-D or 3-D array\n",
+    ),
+    "zero-cell-size": (
+        ["dump-spec", "--domain", '{"kind":"raster-mask","dim":2,"params":{"mask":[[1]],"cell_size":0}}'],
+        "error: cell_size must be positive, got 0\n",
+    ),
+    "spec-file-list": (["dump-spec", "--domain", "list.json"], "error: domain spec must be a JSON object\n"),
+    "missing-params": (
+        ["dump-spec", "--domain", '{"kind":"ball","dim":2}'],
+        "error: domain spec is missing the 'params' object\n",
+    ),
+    "mask-dir-missing": (["sweep", "--family", "mask-batch"], "error: family mask-batch requires --mask-dir\n"),
+    "mask-dir-file": (
+        ["sweep", "--family", "mask-batch", "--mask-dir", "list.json"],
+        "error: --mask-dir is not a directory: list.json\n",
+    ),
+    "values-text": (
+        ["sweep", "--family", "rectangle-aspect", "--values", "a,b"],
+        "error: cannot parse --values list: 'a,b'\n",
+    ),
+    "values-empty": (["sweep", "--family", "rectangle-aspect", "--values", ","], "error: --values is empty\n"),
+    "out-is-directory": (["bessel-zeros", "--out", "adir"], "i/o error: "),
+}
+
+
+@pytest.mark.parametrize("argv, expected", INPUT_ERRORS.values(), ids=INPUT_ERRORS)
+def test_input_error_exits_2_with_its_message(capsys, monkeypatch, tmp_path, argv, expected):
+    (tmp_path / "list.json").write_text("[1]", encoding="utf-8")
+    (tmp_path / "adir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(expected)
+    assert err.count("\n") == 1
+
+
+def test_holes_note_for_multiply_connected_mask(capsys):
+    ring = '{"kind":"raster-mask","dim":2,"params":{"mask":[[1,1,1],[1,0,1],[1,1,1]],"cell_size":0.25}}'
+    code, _, err = run(capsys, "certify", "--domain", ring, "--levels", "3")
+    assert code == 0
+    assert err.startswith(
+        "note: mask has interior holes (multiply connected); the sharp "
+        "constants still bound it but equality cases do not apply\n"
+    )
+
+
+def test_non_monotone_note(capsys):
+    # the README's 2x2 mask at the default spacings
+    mask = '{"kind":"raster-mask","dim":2,"params":{"mask":[[1,1],[1,0]],"cell_size":0.5}}'
+    code, _, err = run(capsys, "lambda1", "--domain", mask)
+    assert code == 0
+    assert err.startswith("note: lambda1 sequence is not monotone across levels\n")
+
+
+@pytest.mark.parametrize("value, text", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
+def test_format_float_writes_nonfinite_values_as_python_does(value, text):
+    assert format_float(value) == text
 
 
 class TestSweep:

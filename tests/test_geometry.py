@@ -150,6 +150,50 @@ class TestMetrics:
             2.0 * math.pi, rel=1e-14
         )
 
+    @pytest.mark.parametrize("radius", [1e-6, 0.5, 1.0, 1.3, 2.5, 1e6])
+    def test_disk_perimeter_is_exactly_two_pi_r(self, radius):
+        # the AGM of equal axes stops at once, so the round ellipse gives
+        # 4 r (pi / 2), which rounds as 2 pi r does
+        assert Ball([0.3, -0.2], radius).metrics().perimeter == 2.0 * math.pi * radius
+
+
+class TestBallIsTheRoundEllipse:
+    @pytest.mark.parametrize("center", [[0.4], [0.3, -0.2], [0.1, 0.2, -0.3]], ids=["1d", "2d", "3d"])
+    def test_ball_is_the_ellipse_of_equal_axes(self, center):
+        ball = Ball(center, 1.3)
+        ellipse = Ellipse(center, [1.3] * len(center))
+        assert isinstance(ball, Ellipse)
+        assert ball.metrics() == ellipse.metrics()
+        points = np.random.default_rng(20261019).uniform(-2.0, 2.0, (4000, len(center)))
+        assert np.array_equal(ball.membership(points), ellipse.membership(points))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_membership_matches_squared_distance_off_the_band(self, dim):
+        # an oracle of its own: |x - c|^2 < r^2, away from the relative
+        # band at the boundary where the two roundings may differ
+        center, radius = np.array([0.1, 0.2, -0.3][:dim]), 1.3
+        points = np.random.default_rng(dim).uniform(-2.0, 2.0, (20000, dim))
+        r2 = np.sum((points - center) ** 2, axis=1)
+        away = np.abs(r2 - radius**2) > 1e-9
+        got = Ball(center, radius).membership(points)
+        assert np.array_equal(got[away], (r2 < radius**2)[away])
+
+    def test_one_axis_ellipse_is_the_segment(self):
+        segment = Ellipse([0.5], [0.5])
+        assert segment.dim == 1
+        assert segment.metrics() == Interval(0.0, 1.0).metrics()
+        points = (np.arange(-2, 11) / 8.0)[:, None]
+        assert np.array_equal(segment.membership(points), Interval(0.0, 1.0).membership(points))
+
+    @pytest.mark.parametrize("radius", [-1.0, float("nan")], ids=["negative", "nan"])
+    def test_ball_reports_a_bad_radius_as_such(self, radius):
+        with pytest.raises(DomainError, match="radius must be positive"):
+            Ball([0.0, 0.0], radius)
+
+    def test_ellipse_of_four_axes_is_rejected(self):
+        with pytest.raises(DomainError, match="dim must be 1, 2 or 3"):
+            Ellipse([0.0] * 4, [1.0] * 4)
+
 
 class TestRasterMask:
     def test_volume_is_occupied_cell_count_times_cell_area(self, block_mask):

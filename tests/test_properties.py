@@ -48,7 +48,7 @@ def balls(draw):
 
 @st.composite
 def ellipses(draw):
-    dim = draw(st.integers(2, 3))
+    dim = draw(st.integers(1, 3))
     return Ellipse([draw(coords) for _ in range(dim)], [draw(lengths) for _ in range(dim)])
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from specbound import (
     Ball,
+    DomainMetrics,
     Interval,
     WaveField,
     assemble,
@@ -132,6 +133,11 @@ class TestKrahnRatio:
             krahn_ratio(-1.0, metrics, 2)
         with pytest.raises(ValueError):
             krahn_ratio(1.0, metrics, 4)
+
+    @pytest.mark.parametrize("volume", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_volume(self, volume):
+        with pytest.raises(ValueError, match="metrics.volume must be positive"):
+            krahn_ratio(1.0, DomainMetrics(volume=volume, diameter=1.0), 2)
 
 
 @pytest.fixture(scope="module")

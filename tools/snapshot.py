@@ -112,11 +112,21 @@ L_MASK = {
 SMALL_L = {"kind": "polygon", "dim": 2, "params": {"vertices": [[x * 2.0**-20, y * 2.0**-20] for x, y in L_VERTICES]}}
 LARGE_BOX = {"kind": "box", "dim": 2, "params": {"bounds": [[0, 2048], [0, 1024]]}}
 
+# a disk and a 3-ball off the origin, of a radius whose cube rounds apart
+# from r*r*r; the ball's volume, perimeter and lattice are the ellipse's
+OFFCENTRE = {
+    "disk": {"kind": "ball", "dim": 2, "params": {"center": [0.3, -0.2], "radius": 1.3}},
+    "ball3": {"kind": "ball", "dim": 3, "params": {"center": [0.1, 0.2, -0.3], "radius": 1.3}},
+}
+
+# the segment 0.5 +/- 0.5 as an ellipse of one axis
+ELLIPSE_1D = {"kind": "ellipse", "dim": 1, "params": {"center": [0.5], "semi_axes": [0.5]}}
+
 # a spec nested past what the JSON parser can recurse into
 DEEP = '{"kind":"ball","dim":2,"params":{"center":%s,"radius":1}}' % ("[" * 100_000 + "0" + "]" * 100_000)
 
 # specs whose params hold a string, a boolean or a cell other than 0 and 1,
-# or whose dim is a string or a boolean
+# whose dim is a string or a boolean, or whose params misspell a key
 REJECTED = {
     "string-mask": '{"kind":"raster-mask","dim":2,"params":{"mask":[["0","0"],["1","0"]],"cell_size":0.5}}',
     "bool-radius": '{"kind":"ball","dim":2,"params":{"center":[0,0],"radius":true}}',
@@ -125,6 +135,7 @@ REJECTED = {
     "string-endpoints": '{"kind":"interval","dim":1,"params":{"a":"9","b":"10"}}',
     "string-dim": '{"kind":"ball","dim":"2","params":{"center":[0,0],"radius":1}}',
     "bool-dim": '{"kind":"interval","dim":true,"params":{"a":0,"b":1}}',
+    "unknown-param": '{"kind":"raster-mask","dim":2,"params":{"mask":[[1,1],[1,0]],"cell_size":0.5,"orgin":[3,4]}}',
 }
 
 
@@ -177,6 +188,9 @@ def cases() -> list:
         ("certify-mask3-cavity", ["certify", "--domain", json.dumps(CAVITY), "--h-start", "0.125", "--levels", "3"], None),
         ("certify-polygon-small", ["certify", "--domain", json.dumps(SMALL_L), "--h-start", repr(2.0**-23)], None),
         ("lambda1-box-large", ["lambda1", "--domain", json.dumps(LARGE_BOX), "--h-start", "128", "--levels", "4"], None),
+        *((f"certify-{name}-offcentre", ["certify", "--domain", json.dumps(spec), "--h-start", "0.325", "--levels", "3"], None)
+          for name, spec in OFFCENTRE.items()),
+        ("dump-spec-ellipse-1d", ["dump-spec", "--domain", json.dumps(ELLIPSE_1D)], None),
         # input errors (exit 2) and non-convergence (exit 3)
         ("error-unknown-kind", ["certify", "--domain", '{"kind":"torus","dim":2,"params":{}}'], None),
         ("error-malformed-json", ["lambda1", "--domain", '{"kind":'], None),
