@@ -9,6 +9,7 @@ order, and the error estimate is the gap between the last two extrapolants.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ import numpy as np
 from .discretize import (
     Grid,
     OperatorMatrix,
-    _lattice_shape,
+    _nested_windows,
     _prolong,
     assemble,
     build_grid,
@@ -28,8 +29,9 @@ from ._format import csv_text
 
 __all__ = ["ConvergenceStudy", "refine"]
 
-# lattice points per level, as build_grid allocates them; it also keeps the
-# stencil's (2*dim+1)*N entries below 2**31, so assemble's indices are int32
+# lattice points per level's window, which build_grid, assemble's index and
+# the transfers allocate; it also keeps the stencil's (2*dim+1)*N entries
+# below 2**31, so assemble's indices are int32
 _POINT_CAP = 20_000_000
 
 _ORDER_RANGE = (0.05, 10.0)  # clamp for fits degraded by pre-asymptotic noise
@@ -74,28 +76,31 @@ def refine(
     preconditioned by one V-cycle over the levels built so far, which on
     level 0 is conjugate gradients on its own operator.
 
-    Raises GridError/SolverConvergenceError if a level cannot be built or
-    solved, and ValueError when a level's bounding-box lattice, which
-    build_grid allocates in full, would exceed 20,000,000 points.  Every
-    level is checked before the first one is built, and the check stops at
-    the first oversized level.  A non-monotone lambda1 sequence is reported
-    via the study's `monotone` flag, not raised.
+    Each level keeps a window of its bounding-box lattice that holds the
+    domain's extent, nested in the next (see `_nested_windows`); for a
+    raster mask that is the box of its occupied cells, for every other
+    kind the whole lattice.  Raises GridError/SolverConvergenceError if a
+    level cannot be built or solved, and ValueError when a level's window
+    would exceed 20,000,000 lattice points.  Every level is checked before
+    the first one is built, and the check stops at the first oversized
+    level.  A non-monotone lambda1 sequence is reported via the study's
+    `monotone` flag, not raised.
     """
     if levels < 3:
         raise ValueError(f"need at least 3 refinement levels, got {levels}")
-    spacings = []
-    for i in range(levels):
-        h = h_start * 0.5**i
-        lattice = math.prod(_lattice_shape(domain, h))
+    windows = []
+    for h, window in itertools.islice(_nested_windows(domain, h_start), levels):
+        lattice = math.prod(map(len, window))
         if lattice > _POINT_CAP:
             raise ValueError(
                 f"level h={h} has {lattice} lattice points, above the cap {_POINT_CAP}"
             )
-        spacings.append(h)
+        windows.append((h, window))
+    spacings = [h for h, _ in windows]
     lams, grids, matrices = [], [], []
     v0 = None
-    for h in spacings:
-        grid = build_grid(domain, h)
+    for h, window in windows:
+        grid = build_grid(domain, h, window)
         matrix = assemble(grid)
         grids.append(grid)
         matrices.append(matrix)

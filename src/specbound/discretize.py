@@ -1,11 +1,17 @@
 """Uniform-lattice discretization of -Laplacian with Dirichlet conditions.
 
-The lattice is anchored at the corner of the domain's bounding box.  A
-lattice point becomes an unknown iff it lies strictly inside the domain;
+The lattice frame is anchored at the corner of the domain's bounding box.
+A lattice point becomes an unknown iff it lies strictly inside the domain;
 omitted neighbors contribute nothing to the stencil, which imposes the
-homogeneous Dirichlet condition.  `assemble` finds adjacent interior
-points by one forward walk per axis, through an inverse index it builds
-and frees itself; the backward pairs are the forward ones with source and
+homogeneous Dirichlet condition.  A grid keeps only a window of its frame,
+a box of frame indices that holds the domain's extent, and all lattice
+work is done on the window: the membership test, `assemble`'s index and
+the V-cycle transfers.  Over a refinement the windows are nested, each
+starting at twice the frame index of the one before, so a point and its
+neighbors are those of the whole frame and every result is the same bit
+for bit.  `assemble` finds adjacent interior points by one forward walk
+per axis, through an inverse index over the window that it builds and
+frees itself; the backward pairs are the forward ones with source and
 target swapped.
 
 Interior points are numbered in row-major lattice order, so `assemble`
@@ -16,6 +22,7 @@ the forward neighbors from the smallest stride up.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -35,15 +42,19 @@ class GridError(ValueError):
 class Grid:
     """Interior lattice points of a domain at spacing h.
 
-    `interior_flat` holds flat lattice indices (row-major over `shape`) of
-    the interior points in ascending order, so point i is the i-th interior
-    point in lattice order.  Nothing is stored per lattice point: a grid
-    costs 8 bytes per interior point, whatever the size of the box.
+    The lattice frame has its index 0 at `origin`, the bounding-box corner;
+    the grid's window is the box of frame indices from `start` on, `shape`
+    points per axis, and holds every interior point.  `interior_flat` holds
+    flat window indices (row-major over `shape`) of the interior points in
+    ascending order, so point i is the i-th interior point in lattice order.
+    Nothing is stored per lattice point: a grid costs 8 bytes per interior
+    point, whatever the size of the box.
     """
 
     domain: Domain
     spacing: float
     origin: np.ndarray
+    start: tuple
     shape: tuple
     interior_flat: np.ndarray
 
@@ -58,7 +69,7 @@ class Grid:
     def points(self) -> np.ndarray:
         """Coordinates of the interior points, shape (N, dim)."""
         multi = np.array(np.unravel_index(self.interior_flat, self.shape)).T
-        return self.origin + multi * self.spacing
+        return self.origin + (multi + self.start) * self.spacing
 
 
 @dataclass(frozen=True)
@@ -85,6 +96,39 @@ def _lattice_shape(domain: Domain, h: float) -> tuple:
     if not np.all(np.isfinite(counts)):
         raise GridError(f"spacing {h} is too small to count lattice points")
     return tuple(int(np.floor(c + 1e-9)) + 1 for c in counts)
+
+
+def _nested_windows(domain: Domain, h_start: float):
+    """Yield (h, window) for h = h_start, h_start/2, ...: the window kept of
+    each level's lattice frame, one range of frame indices per axis.
+
+    The first window spans the domain's extent, from the last frame index
+    at or below it to the first at or above it.  Each later one starts at
+    twice the start of the one before and stops at twice its last index,
+    or at the frame's end when the one before reached its frame's end.  So
+    every window holds the extent, with no interior point on a face that
+    is not the frame's, and coarse index k of a window sits at fine index
+    2k of the next, which the transfers rely on.  Raises GridError as
+    build_grid does, at the first level whose frame cannot be laid.
+    """
+    origin, extent = domain.bounding_box[:, 0], domain.extent
+    window = previous = None
+    for level in itertools.count():
+        h = h_start * 0.5**level
+        frame = _lattice_shape(domain, h)
+        if window is None:
+            first = np.floor((extent[:, 0] - origin) / h)
+            last = np.ceil((extent[:, 1] - origin) / h)
+            window = tuple(
+                range(int(f), int(min(l, n - 1)) + 1) for f, l, n in zip(first, last, frame)
+            )
+        else:
+            window = tuple(
+                range(2 * w.start, n if w.stop == m else 2 * w.stop - 1)
+                for w, m, n in zip(window, previous, frame)
+            )
+        yield h, window
+        previous = frame
 
 
 def _interpolate(c: np.ndarray, n: int) -> np.ndarray:
@@ -114,9 +158,16 @@ def _interpolate_transpose(f: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _check_nested(coarse: Grid, fine: Grid):
+    if fine.start != tuple(2 * s for s in coarse.start):
+        raise GridError(
+            f"fine window starts at {fine.start}, not at twice the coarse start {coarse.start}"
+        )
+
+
 def _transfer(operator, source: Grid, values: np.ndarray, target: Grid) -> np.ndarray:
-    # apply a 1-D operator along each axis of the box lattice, where
-    # omitted points hold zero (the Dirichlet value)
+    # apply a 1-D operator along each axis of the window, where omitted
+    # points hold zero (the Dirichlet value)
     box = np.zeros(source.shape)
     box.ravel()[source.interior_flat] = values  # a view: box is C-contiguous
     for axis, n in enumerate(target.shape):
@@ -128,13 +179,15 @@ def _prolong(coarse: Grid, values: np.ndarray, fine: Grid) -> np.ndarray:
     """Interpolate a field on the interior points of `coarse` onto those of
     `fine`, the same domain at half the spacing.
 
-    Both lattices start at the bounding-box corner, so fine index m sits at
-    coarse index m/2 on every axis, and the interpolation is 1-D and linear
-    along each axis in turn.  Omitted coarse points count as zero (the
-    Dirichlet value).  Where the spacing does not divide a box edge, the
-    last fine index can lie past the coarse lattice; it is clipped to the
-    last coarse index.
+    Both frames start at the bounding-box corner and the fine window starts
+    at twice the coarse start (GridError otherwise), so fine window index m
+    sits at coarse window index m/2 on every axis, and the interpolation is
+    1-D and linear along each axis in turn.  Omitted coarse points count as
+    zero (the Dirichlet value).  Where the spacing does not divide a box
+    edge, the last fine index can lie past the coarse lattice; it is
+    clipped to the last coarse index.
     """
+    _check_nested(coarse, fine)
     return _transfer(_interpolate, coarse, values, fine)
 
 
@@ -142,31 +195,33 @@ def _restrict(fine: Grid, values: np.ndarray, coarse: Grid) -> np.ndarray:
     """The transpose of `_prolong(coarse, ., fine)`: a field on the interior
     points of `fine` summed onto those of `coarse` with the interpolation
     weights."""
+    _check_nested(coarse, fine)
     return _transfer(_interpolate_transpose, fine, values, coarse)
 
 
-def build_grid(domain: Domain, h: float) -> Grid:
+def build_grid(domain: Domain, h: float, window: tuple | None = None) -> Grid:
     """Lay a lattice of spacing h over the bounding box and keep the points
-    strictly inside the domain.
+    of `window` strictly inside the domain.
 
-    Raises GridError when h is nonpositive, too coarse relative to the
-    bounding box, so small that the lattice size overflows, or leaves no
-    interior point.
+    `window` holds one range of frame indices per axis, as refine takes it
+    from `_nested_windows`, and must hold the domain's extent; by default
+    it is the window over the extent alone.  Raises GridError when h is
+    nonpositive, too coarse relative to the bounding box, so small that the
+    lattice size overflows, or leaves no interior point.
     """
-    shape = _lattice_shape(domain, h)
+    if window is None:
+        window = next(_nested_windows(domain, h))[1]
     origin = domain.bounding_box[:, 0].copy()
-    axes = [origin[a] + np.arange(shape[a]) * h for a in range(domain.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
-    inside = domain.membership(points)
-    interior_flat = np.nonzero(inside)[0]
+    axes = [origin[a] + np.arange(r.start, r.stop) * h for a, r in enumerate(window)]
+    interior_flat = np.flatnonzero(domain.lattice_membership(axes))
     if interior_flat.shape[0] == 0:
         raise GridError(f"no interior lattice point at spacing {h}; refine h")
     return Grid(
         domain=domain,
         spacing=float(h),
         origin=origin,
-        shape=shape,
+        start=tuple(r.start for r in window),
+        shape=tuple(len(r) for r in window),
         interior_flat=interior_flat,
     )
 
@@ -181,7 +236,7 @@ def assemble(grid: Grid) -> OperatorMatrix:
     h2 = grid.spacing * grid.spacing
     index = np.int32 if (2 * dim + 1) * n < 2**31 else np.int64  # scipy's choice
     flat, shape = grid.interior_flat, grid.shape
-    # the interior numbering of every lattice point, -1 where omitted
+    # the interior numbering of every window point, -1 where omitted
     number = np.full(math.prod(shape), -1, dtype=index)
     number[flat] = np.arange(n)
     # one row per point in ascending column order (module docstring);

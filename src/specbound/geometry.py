@@ -1,6 +1,10 @@
 """Compact domains in R^n (n = 1, 2, 3): membership tests and metrics.
 
-Membership is the open interior, the one question the lattice asks.
+Membership is the open interior, the one question the lattice asks.  Each
+kind states its rule once, over one coordinate array per axis that
+broadcast together: `membership` passes the columns of a point array, and
+`lattice_membership` the axis vectors of a lattice, so a lattice is tested
+without forming its points and both give the same answer bit for bit.
 Points within a relative 1e-12 of the boundary (1e-9 of a cell for raster
 masks) count as outside, so roundoff in lattice coordinates, for example
 after a translation, does not move a boundary point in.  Every shape is
@@ -21,6 +25,7 @@ constructor does not take, in the spec or in its params, is an error too.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from abc import ABC, abstractmethod
@@ -93,6 +98,13 @@ class Domain(ABC):
         self.dim = int(dim)
         self.bounding_box = box
 
+    @property
+    def extent(self) -> np.ndarray:
+        """A (dim, 2) box, inside the bounding box, that holds every point
+        the membership test counts inside: the bounding box itself, unless a
+        kind knows a tighter one."""
+        return self.bounding_box
+
     def membership(self, points: np.ndarray) -> np.ndarray:
         """Which of an (M, dim) array of points lie strictly inside."""
         points = np.asarray(points, dtype=float)
@@ -100,10 +112,24 @@ class Domain(ABC):
             raise DomainError(
                 f"points must have shape (M, {self.dim}), got {points.shape}"
             )
-        return self._membership(points)
+        return self._membership(list(points.T))
+
+    def lattice_membership(self, axes) -> np.ndarray:
+        """Which points of the lattice axes[0] x axes[1] x ... lie strictly
+        inside, as a boolean array of shape (len(axes[0]), len(axes[1]), ...).
+
+        The answer equals `membership` on the same points, stacked in
+        row-major order, but no (points, dim) array is formed.
+        """
+        axes = [np.asarray(a, dtype=float) for a in axes]
+        if len(axes) != self.dim or any(a.ndim != 1 for a in axes):
+            raise DomainError(f"need {self.dim} one-dimensional axis vectors")
+        return self._membership(list(np.ix_(*axes)))
 
     @abstractmethod
-    def _membership(self, points: np.ndarray) -> np.ndarray: ...
+    def _membership(self, coords: list) -> np.ndarray:
+        """The rule on one coordinate array per axis, which broadcast
+        together; the answer has their broadcast shape."""
 
     @abstractmethod
     def metrics(self) -> DomainMetrics:
@@ -133,10 +159,11 @@ class Box(Domain):
         self.bounds = bounds
         super().__init__(bounds.shape[0], bounds)
 
-    def _membership(self, points):
+    def _membership(self, coords):
         lo, hi = self.bounds[:, 0], self.bounds[:, 1]
         band = _BAND * (hi - lo)
-        return np.all((points > lo + band) & (points < hi - band), axis=1)
+        per_axis = [(x > a) & (x < b) for x, a, b in zip(coords, lo + band, hi - band)]
+        return functools.reduce(np.logical_and, per_axis)
 
     def metrics(self):
         sides = self.bounds[:, 1] - self.bounds[:, 0]
@@ -195,11 +222,15 @@ class Ellipse(Domain):
         box = np.stack([center - semi, center + semi], axis=1)
         super().__init__(semi.shape[0], box)
 
-    def _membership(self, points):
-        q = points - self.center
-        q /= self.semi_axes
-        q *= q
-        return q.sum(axis=1) < 1.0 - _BAND
+    def _membership(self, coords):
+        squares = []
+        for x, c, s in zip(coords, self.center, self.semi_axes):
+            q = x - c
+            q /= s
+            q *= q
+            squares.append(q)
+        # summed left to right, as a row sum of an (M, dim) array is
+        return functools.reduce(np.add, squares) < 1.0 - _BAND
 
     def metrics(self):
         return DomainMetrics(
@@ -242,11 +273,12 @@ class Polygon(Domain):
             raise DomainError("polygon must be simple (non-self-intersecting)")
         self.vertices = verts
 
-    def _membership(self, points):
-        on_edge = np.zeros(points.shape[0], dtype=bool)
-        inside = np.zeros(points.shape[0], dtype=bool)
+    def _membership(self, coords):
+        px, py = coords
+        shape = np.broadcast_shapes(px.shape, py.shape)
+        on_edge = np.zeros(shape, dtype=bool)
+        inside = np.zeros(shape, dtype=bool)
         eps = _BAND * self._scale
-        px, py = points[:, 0], points[:, 1]
         verts = self.vertices
         m = verts.shape[0]
         for i in range(m):
@@ -340,31 +372,42 @@ class RasterMask(Domain):
         """The occupancy array as 0/1 integers."""
         return self.occupied.astype(int)
 
-    def _cells_covering(self, points, offset, top):
-        # indices into the array padded by one free layer, clipped in float
-        # so that the cast sees neither NaN, nor inf, nor a value past int64;
-        # a coordinate that overflows to inf is clipped like any far one
+    @property
+    def extent(self):
+        # the box of the occupied cells; the array's own box, where the
+        # lattice is anchored, may have empty margins
+        cells = []
+        for axis in range(self.dim):
+            others = tuple(b for b in range(self.dim) if b != axis)
+            used = np.flatnonzero(self.occupied.any(axis=others))
+            cells.append([used[0], used[-1] + 1])
+        return self.origin[:, None] + np.array(cells) * self.cell_size
+
+    def _cells_covering(self, x, axis, offset, top):
+        # indices along `axis` into the array padded by one free layer,
+        # clipped in float so that the cast sees neither NaN, nor inf, nor a
+        # value past int64; a coordinate that overflows to inf is clipped
+        # like any far one
         with np.errstate(over="ignore"):
-            scaled = (points - self.origin) / self.cell_size
+            scaled = (x - self.origin[axis]) / self.cell_size
         cells = np.clip(np.floor(scaled + offset) + 1, 0, top)
         return np.where(np.isnan(cells), 0, cells).astype(int)
 
-    def _membership(self, points):
+    def _membership(self, coords):
         eps = 1e-9  # in cell units; lattice points sit exactly on cell faces
         # inside iff every one of the up-to-2^dim cells whose closure
         # touches the point is occupied; a free layer around the array
         # answers for cells past it, and so for far-away and NaN points
         padded = np.pad(self.occupied, 1)
-        top = np.array(padded.shape) - 1
-        lo = self._cells_covering(points, -eps, top)
-        hi = self._cells_covering(points, +eps, top)
-        steps = np.array(padded.strides) // padded.itemsize
-        base = lo @ steps  # flat index of the lowest touching cell
-        jumps = [(hi[:, a] - lo[:, a]) * steps[a] for a in range(self.dim)]
-        flat = padded.ravel()
-        result = np.ones(points.shape[0], dtype=bool)
+        touching = [
+            (self._cells_covering(x, axis, -eps, top), self._cells_covering(x, axis, +eps, top))
+            for axis, (x, top) in enumerate(zip(coords, np.array(padded.shape) - 1))
+        ]
+        result = np.ones(np.broadcast_shapes(*(x.shape for x in coords)), dtype=bool)
         for corner in np.ndindex(*(2,) * self.dim):
-            result &= flat[sum((j for j, c in zip(jumps, corner) if c), base)]
+            # the index arrays broadcast, so a lattice gathers without
+            # forming its points
+            result &= padded[tuple(pair[c] for pair, c in zip(touching, corner))]
         return result
 
     def metrics(self):

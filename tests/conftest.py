@@ -3,9 +3,54 @@ import math
 import numpy as np
 import pytest
 
-from specbound import Ball, Box, Ellipse, Interval, Polygon, RasterMask, WaveField
+from specbound import Ball, Box, Ellipse, Grid, Interval, Polygon, RasterMask, WaveField
+from specbound.discretize import _lattice_shape
 
 L_VERTICES = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0]]
+
+
+def _block_mask(shape, block, cell, origin=None):
+    mask = np.zeros(shape, dtype=int)
+    mask[tuple(slice(lo, hi) for lo, hi in block)] = 1
+    return RasterMask(mask, cell, origin)
+
+
+# (mask, h_start) of masks whose lattice window is a part of the lattice: a
+# 3-D block inside empty margins; a block that reaches the array's far
+# corner, at an origin no spacing divides; and a block at the far corner at
+# a spacing that divides neither the array nor the block, so each finer
+# lattice has two points per coarse one and its last lies past the coarse
+# lattice
+WINDOW_CASES = {
+    "mask3-margins": (_block_mask((5, 6, 6), [(1, 3), (2, 5), (1, 4)], 0.25), 0.125),
+    "far-edge": (_block_mask((4, 5), [(1, 4), (2, 5)], 0.25, [0.3, -0.7]), 0.125),
+    "non-dividing": (_block_mask((3, 3), [(1, 3), (1, 3)], 0.25), 0.2),
+}
+
+
+def lattice_points(axes):
+    """The points of the lattice axes[0] x axes[1] x ..., as an (M, dim)
+    array in row-major order."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def full_frame_grid(domain, h):
+    """The grid whose window is the whole bounding-box lattice, its interior
+    found by testing every lattice point as one (M, dim) array: the
+    reference that windowed grids must reproduce."""
+    shape = _lattice_shape(domain, h)
+    origin = domain.bounding_box[:, 0].copy()
+    axes = [origin[a] + np.arange(shape[a]) * h for a in range(domain.dim)]
+    inside = domain.membership(lattice_points(axes))
+    return Grid(
+        domain=domain,
+        spacing=float(h),
+        origin=origin,
+        start=(0,) * domain.dim,
+        shape=shape,
+        interior_flat=np.nonzero(inside)[0],
+    )
 
 
 def rayleigh_quotient(matrix, v):

@@ -19,7 +19,7 @@ from specbound import (
 from specbound import convergence
 from specbound.eigensolve import DEFAULT_TOL
 
-from conftest import L_VERTICES
+from conftest import L_VERTICES, WINDOW_CASES, full_frame_grid
 from test_discretize import interval_eigenvalues
 
 
@@ -164,6 +164,16 @@ class TestStudyShape:
         with pytest.raises(ValueError, match=r"h=2\.98\d*e-08 .*cap"):
             refine(Interval(0.0, 1.0), 1.0 / 8, 1100)
 
+    def test_point_cap_counts_the_window(self):
+        # one occupied cell of a 32^3 array: at h = 1/16 the lattice over
+        # the array has 513^3 points, over the cap, and its window 17^3
+        mask = np.zeros((32, 32, 32), dtype=int)
+        mask[5, 17, 30] = 1
+        study = refine(RasterMask(mask, 1.0), 0.25, 3)
+        alone = refine(RasterMask([[[1]]], 1.0), 0.25, 3)
+        assert study.finest_grid.shape == (17, 17, 17)
+        assert study.lambda1_values.tobytes() == alone.lambda1_values.tobytes()
+
     def test_finest_level_artifacts_kept(self):
         study = refine(Interval(0.0, 1.0), 1.0 / 8, 3)
         assert study.finest_grid is not None
@@ -219,3 +229,15 @@ def test_figure_eight_rejected_at_every_scale(s):
     figure_eight = np.array([[0, 0], [4, 0], [0, 2], [1, -1], [0.5, -1.5]]) * s
     with pytest.raises(DomainError, match="simple"):
         Polygon(figure_eight)
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_CASES))
+def test_windowed_study_equals_full_frame(name, monkeypatch):
+    # the windows change what is allocated, never a bit of the answer
+    domain, h_start = WINDOW_CASES[name]
+    study = refine(domain, h_start, 3)
+    monkeypatch.setattr(convergence, "build_grid", lambda domain, h, window: full_frame_grid(domain, h))
+    reference = refine(domain, h_start, 3)
+    assert study.lambda1_values.tobytes() == reference.lambda1_values.tobytes()
+    assert study.finest_spectrum.eigenvectors.tobytes() == reference.finest_spectrum.eigenvectors.tobytes()
+    assert math.prod(study.finest_grid.shape) < math.prod(reference.finest_grid.shape)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -15,9 +16,9 @@ from specbound import (
     assemble,
     build_grid,
 )
-from specbound.discretize import _prolong, _restrict
+from specbound.discretize import _lattice_shape, _nested_windows, _prolong, _restrict
 
-from conftest import L_VERTICES, lattice_pairs
+from conftest import L_VERTICES, WINDOW_CASES, full_frame_grid, lattice_pairs
 
 # (domain, coarse spacing); the 3-ball's 0.3 divides no box edge, so its
 # finest fine index is clipped onto the last coarse one
@@ -77,13 +78,37 @@ class TestBuildGrid:
 
     def test_grid_storage_is_proportional_to_points(self):
         # a sparse 3-D mask: 64 of 32^3 cells, so the box has 65^3 lattice
-        # points for 7^3 interior ones
+        # points, and the window over the occupied cells 9^3, for 7^3
+        # interior ones
         mask = np.zeros((32, 32, 32), dtype=int)
         mask[:4, :4, :4] = 1
         grid = build_grid(RasterMask(mask, cell_size=1.0 / 32), 1.0 / 64)
         arrays = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
-        assert (grid.shape, grid.point_count) == ((65, 65, 65), 343)
+        assert (grid.shape, grid.point_count) == ((9, 9, 9), 343)
         assert sum(a.nbytes for a in arrays) <= 8 * grid.point_count + 8 * grid.dim
+
+    @pytest.mark.parametrize(
+        "domain, h",
+        [
+            (Box([[0.0, 1.0]] * 3), 1.0 / 64),
+            (Ball([0.0, 0.0, 0.0], 1.0), 1.0 / 32),
+            (RasterMask(np.pad(np.ones((11, 12, 8), dtype=int), [(2, 3), (3, 1), (1, 7)]), 1.0 / 16), 1.0 / 64),
+        ],
+        ids=["cube", "ball3", "mask3"],
+    )
+    def test_build_peak_is_bounded_per_window_point(self, domain, h):
+        # beyond the grid's own arrays, at most 16 bytes per window point:
+        # room for a float64 sum and a boolean, not for a meshgrid and a
+        # stacked (lattice, dim) point array, which took 49-166 here
+        build_grid(domain, h)  # first-call allocations are not the build's
+        tracemalloc.start()
+        try:
+            grid = build_grid(domain, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own = sum(v.nbytes for v in vars(grid).values() if isinstance(v, np.ndarray))
+        assert peak - own <= 16 * math.prod(grid.shape)
 
     def test_nonpositive_spacing_rejected(self, unit_interval):
         with pytest.raises(GridError):
@@ -318,3 +343,58 @@ class TestProlong:
         assert out.shape == (fine.point_count,)
         assert np.all(np.isfinite(out))
 
+
+class TestWindows:
+    @pytest.mark.parametrize("name", sorted(WINDOW_CASES))
+    def test_nested_windows_keep_the_full_frame_interior(self, name):
+        domain, h_start = WINDOW_CASES[name]
+        coarse, full_lattice, window_lattice = None, 0, 0
+        for h, window in itertools.islice(_nested_windows(domain, h_start), 3):
+            grid, full = build_grid(domain, h, window), full_frame_grid(domain, h)
+            local = lattice_indices(grid)
+            frame_index = local + grid.start
+            # the same interior points in the same order, at the same bits
+            flat = np.ravel_multi_index(tuple(frame_index.T), full.shape)
+            assert np.array_equal(flat, full.interior_flat)
+            assert grid.points().tobytes() == full.points().tobytes()
+            # no interior point on a window face that is not the frame's
+            starts, stops = np.array(grid.start), np.array(grid.start) + grid.shape
+            assert np.all((local.min(axis=0) > 0) | (starts == 0))
+            assert np.all((local.max(axis=0) < np.array(grid.shape) - 1) | (stops == full.shape))
+            if coarse is not None:
+                assert grid.start == tuple(2 * s for s in coarse.start)
+            coarse = grid
+            full_lattice += math.prod(full.shape)
+            window_lattice += math.prod(grid.shape)
+        assert window_lattice < full_lattice
+
+    def test_non_dividing_case_doubles_the_frame(self):
+        # each finer lattice has two points per coarse one, the last of them
+        # past the coarse lattice, where the transfers clip
+        domain, h = WINDOW_CASES["non-dividing"]
+        assert _lattice_shape(domain, h / 2) == tuple(2 * n for n in _lattice_shape(domain, h))
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_CASES))
+    def test_transfers_on_windows_equal_full_frame(self, name):
+        domain, h = WINDOW_CASES[name]
+        (_, cw), (_, fw) = itertools.islice(_nested_windows(domain, h), 2)
+        coarse, fine = build_grid(domain, h, cw), build_grid(domain, h / 2, fw)
+        full_coarse, full_fine = full_frame_grid(domain, h), full_frame_grid(domain, h / 2)
+        rng = np.random.default_rng(19)
+        v = rng.standard_normal(coarse.point_count)
+        w = rng.standard_normal(fine.point_count)
+        assert np.array_equal(_prolong(coarse, v, fine), _prolong(full_coarse, v, full_fine))
+        assert np.array_equal(_restrict(fine, w, coarse), _restrict(full_fine, w, full_coarse))
+
+    def test_transfers_refuse_windows_that_do_not_nest(self):
+        # occupied cells from 0.4: the window at h = 0.25 starts at frame
+        # index 1, the one built alone at h = 0.125 at 3, not at 2
+        mask = np.zeros((8, 8), dtype=int)
+        mask[4:7, 4:7] = 1
+        domain = RasterMask(mask, 0.1)
+        coarse, fine = build_grid(domain, 0.25), build_grid(domain, 0.125)
+        assert (coarse.start, fine.start) == ((1, 1), (3, 3))
+        with pytest.raises(GridError, match="twice the coarse start"):
+            _prolong(coarse, np.ones(coarse.point_count), fine)
+        with pytest.raises(GridError, match="twice the coarse start"):
+            _restrict(fine, np.ones(fine.point_count), coarse)

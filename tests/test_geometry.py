@@ -19,7 +19,7 @@ from specbound import (
 from specbound._format import to_json
 from specbound.geometry import _agm_ellipse_perimeter
 
-from conftest import L_VERTICES
+from conftest import L_VERTICES, lattice_points
 
 
 def contains(domain, point):
@@ -193,6 +193,57 @@ class TestBallIsTheRoundEllipse:
     def test_ellipse_of_four_axes_is_rejected(self):
         with pytest.raises(DomainError, match="dim must be 1, 2 or 3"):
             Ellipse([0.0] * 4, [1.0] * 4)
+
+
+# (domain, spacing) of lattices laid as build_grid lays them, two points
+# past the bounding box on each side; the masks' points sit on cell faces
+LATTICE_CASES = {
+    "interval": (Interval(0.0, 1.0), 0.1),
+    "box": (Box([[0.0, 1.0], [0.0, 0.7]]), 0.05),
+    "box3": (Box([[0.0, 1.0], [-0.5, 0.5], [0.0, 0.3]]), 0.05),
+    "ellipse": (Ellipse([0.0, 0.0], [1.0, 0.5]), 1.0 / 64),
+    "ellipsoid-offcentre": (Ellipse([0.1, 0.2, -0.3], [1.3, 0.7, 0.45]), 0.05),
+    "ball1-offcentre": (Ball([0.4], 1.3), 0.01),
+    "disk": (Ball([0.0, 0.0], 1.0), 1.0 / 64),
+    "disk-offcentre": (Ball([0.3, -0.2], 1.3), 0.0325),
+    "ball3": (Ball([0.0, 0.0, 0.0], 1.0), 1.0 / 16),
+    "ball3-offcentre": (Ball([0.1, 0.2, -0.3], 1.3), 0.065),
+    "l-shape": (Polygon(L_VERTICES), 1.0 / 32),
+    "l-shape-small": (Polygon(np.array(L_VERTICES) * 1e-6), 1e-6 / 32),
+    "mask": (RasterMask([[1, 1, 0], [1, 0, 1], [0, 1, 1]], 0.25, [0.3, -0.7]), 0.125),
+    "mask3": (RasterMask([[[1, 1], [1, 0]], [[0, 1], [1, 1]]], 0.5), 0.125),
+}
+
+
+class TestLatticeMembership:
+    @pytest.mark.parametrize("name", sorted(LATTICE_CASES))
+    def test_equals_membership_of_the_stacked_points(self, name):
+        # the reference forms the lattice's points, as build_grid once did
+        domain, h = LATTICE_CASES[name]
+        box = domain.bounding_box
+        counts = np.floor((box[:, 1] - box[:, 0]) / h + 1e-9).astype(int) + 1
+        axes = [box[a, 0] + np.arange(-2, counts[a] + 2) * h for a in range(domain.dim)]
+        got = domain.lattice_membership(axes)
+        expected = domain.membership(lattice_points(axes))
+        assert got.shape == tuple(len(a) for a in axes)
+        assert np.array_equal(got.ravel(), expected)
+        assert 0 < expected.sum() < expected.size
+
+    def test_ellipse_sum_rounds_as_the_row_sum(self):
+        # squares that sum to the band's edge: (q0 + q1) + q2 is inside and
+        # q0 + (q1 + q2) outside, so only the order of the sum decides
+        point = [0.46094764463519505, 0.29380408066792957, 0.8373806966291608]
+        q = np.square(point)
+        assert ((q[0] + q[1]) + q[2] < 1.0 - 1e-12) != (q[0] + (q[1] + q[2]) < 1.0 - 1e-12)
+        ball = Ball([0.0, 0.0, 0.0], 1.0)
+        got = ball.lattice_membership([[x] for x in point])
+        assert got.ravel().tolist() == ball.membership([point]).tolist() == [True]
+
+    def test_rejects_axes_of_another_dimension(self, unit_disk):
+        with pytest.raises(DomainError, match="one-dimensional axis vectors"):
+            unit_disk.lattice_membership([np.arange(3.0)])
+        with pytest.raises(DomainError, match="one-dimensional axis vectors"):
+            unit_disk.lattice_membership([np.zeros((2, 2)), np.arange(3.0)])
 
 
 class TestRasterMask:

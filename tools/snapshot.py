@@ -107,6 +107,27 @@ L_MASK = {
     "params": {"mask": [[1, 1, 1], [1, 0, 0], [1, 0, 0]], "cell_size": 0.25, "origin": [0.3, -0.7]},
 }
 
+# masks whose lattice window is a part of the lattice, with the h_start of
+# each: a 3-D block inside empty margins; a block that reaches the array's
+# far corner, at an origin that no spacing divides; and a block at the far
+# corner at a spacing that does not divide the array, so each finer lattice
+# is two points per coarse one and its last point lies past the coarse one
+WINDOWED = {
+    "mask3-margins": ({
+        "kind": "raster-mask", "dim": 3,
+        "params": {"mask": [[[int(1 <= i <= 2 and 2 <= j <= 4 and 1 <= k <= 3) for k in range(6)]
+                             for j in range(6)] for i in range(5)], "cell_size": 0.25},
+    }, "0.125"),
+    "mask-far-edge": ({
+        "kind": "raster-mask", "dim": 2,
+        "params": {"mask": [[0] * 5] + [[0, 0, 1, 1, 1]] * 3, "cell_size": 0.25, "origin": [0.3, -0.7]},
+    }, "0.125"),
+    "mask-non-dividing": ({
+        "kind": "raster-mask", "dim": 2,
+        "params": {"mask": [[0, 0, 0], [0, 1, 1], [0, 1, 1]], "cell_size": 0.25},
+    }, "0.2"),
+}
+
 # the L-shape scaled by 2^-20 and the 2x1 box by 2^10: powers of two keep
 # every lattice exact, so both read as the unit cases scaled by s^-2
 SMALL_L = {"kind": "polygon", "dim": 2, "params": {"vertices": [[x * 2.0**-20, y * 2.0**-20] for x, y in L_VERTICES]}}
@@ -186,6 +207,8 @@ def cases() -> list:
         ("sweep-masks-fractional-origin", ["sweep", "--family", "mask-batch", "--mask-dir", "fractional", "--h-start", "0.125", "--levels", "3"], None),
         ("sweep-masks-deep", ["sweep", "--family", "mask-batch", "--mask-dir", "deep", "--levels", "3"], None),
         ("certify-mask3-cavity", ["certify", "--domain", json.dumps(CAVITY), "--h-start", "0.125", "--levels", "3"], None),
+        *((f"certify-window-{name}", ["certify", "--domain", json.dumps(spec), "--h-start", h, "--levels", "3"], None)
+          for name, (spec, h) in WINDOWED.items()),
         ("certify-polygon-small", ["certify", "--domain", json.dumps(SMALL_L), "--h-start", repr(2.0**-23)], None),
         ("lambda1-box-large", ["lambda1", "--domain", json.dumps(LARGE_BOX), "--h-start", "128", "--levels", "4"], None),
         *((f"certify-{name}-offcentre", ["certify", "--domain", json.dumps(spec), "--h-start", "0.325", "--levels", "3"], None)
