@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,11 +27,6 @@ from .geometry import Domain
 from ._format import csv_text
 
 __all__ = ["ConvergenceStudy", "refine"]
-
-# lattice points per level's window, which build_grid, assemble's index and
-# the transfers allocate; it also keeps the stencil's (2*dim+1)*N entries
-# below 2**31, so assemble's indices are int32
-_POINT_CAP = 20_000_000
 
 _ORDER_RANGE = (0.05, 10.0)  # clamp for fits degraded by pre-asymptotic noise
 
@@ -77,25 +71,19 @@ def refine(
     level 0 is conjugate gradients on its own operator.
 
     Each level keeps a window of its bounding-box lattice that holds the
-    domain's extent, nested in the next (see `_nested_windows`); for a
-    raster mask that is the box of its occupied cells, for every other
-    kind the whole lattice.  Raises GridError/SolverConvergenceError if a
-    level cannot be built or solved, and ValueError when a level's window
-    would exceed 20,000,000 lattice points.  Every level is checked before
-    the first one is built, and the check stops at the first oversized
-    level.  A non-monotone lambda1 sequence is reported via the study's
-    `monotone` flag, not raised.
+    domain's extent, nested in the next (see `_nested_windows`): for a
+    raster mask the box of its occupied cells, for every other kind the
+    bounding-box lattice out to the first point at or past its far corner.
+    Raises GridError/SolverConvergenceError if a level cannot be built or
+    solved; `_nested_windows` raises GridError, a ValueError, when a
+    level's window would exceed 20,000,000 lattice points.  Every level is
+    checked before the first one is built, and the check stops at the first
+    oversized level.  A non-monotone lambda1 sequence is reported via the
+    study's `monotone` flag, not raised.
     """
     if levels < 3:
         raise ValueError(f"need at least 3 refinement levels, got {levels}")
-    windows = []
-    for h, window in itertools.islice(_nested_windows(domain, h_start), levels):
-        lattice = math.prod(map(len, window))
-        if lattice > _POINT_CAP:
-            raise ValueError(
-                f"level h={h} has {lattice} lattice points, above the cap {_POINT_CAP}"
-            )
-        windows.append((h, window))
+    windows = list(itertools.islice(_nested_windows(domain, h_start), levels))
     spacings = [h for h, _ in windows]
     lams, grids, matrices = [], [], []
     v0 = None

@@ -1,14 +1,15 @@
 """Uniform-lattice discretization of -Laplacian with Dirichlet conditions.
 
-The lattice frame is anchored at the corner of the domain's bounding box.
-A lattice point becomes an unknown iff it lies strictly inside the domain;
+The lattice is anchored at the corner of the domain's bounding box.  A
+lattice point becomes an unknown iff it lies strictly inside the domain;
 omitted neighbors contribute nothing to the stencil, which imposes the
-homogeneous Dirichlet condition.  A grid keeps only a window of its frame,
-a box of frame indices that holds the domain's extent, and all lattice
-work is done on the window: the membership test, `assemble`'s index and
-the V-cycle transfers.  Over a refinement the windows are nested, each
-starting at twice the frame index of the one before, so a point and its
-neighbors are those of the whole frame and every result is the same bit
+homogeneous Dirichlet condition.  A grid keeps only a window of the
+lattice, a box of lattice indices that holds the domain's extent and ends
+on exterior points, and all lattice work is done on the window: the
+membership test, `assemble`'s index and the V-cycle transfers.  Over a
+refinement the windows are nested, each starting at twice the index of the
+one before and ending on the same exterior points, so a point and its
+neighbors are those of the whole lattice and every result is the same bit
 for bit.  `assemble` finds adjacent interior points by one forward walk
 per axis, through an inverse index over the window that it builds and
 frees itself; the backward pairs are the forward ones with source and
@@ -42,8 +43,8 @@ class GridError(ValueError):
 class Grid:
     """Interior lattice points of a domain at spacing h.
 
-    The lattice frame has its index 0 at `origin`, the bounding-box corner;
-    the grid's window is the box of frame indices from `start` on, `shape`
+    The lattice has its index 0 at `origin`, the bounding-box corner; the
+    grid's window is the box of lattice indices from `start` on, `shape`
     points per axis, and holds every interior point.  `interior_flat` holds
     flat window indices (row-major over `shape`) of the interior points in
     ascending order, so point i is the i-th interior point in lattice order.
@@ -79,82 +80,64 @@ class OperatorMatrix:
     matrix: sparse.csr_matrix = field(repr=False)
 
 
-def _lattice_shape(domain: Domain, h: float) -> tuple:
-    """Points per axis of the spacing-h lattice over the bounding box,
-    without allocating it; raises GridError as documented in build_grid."""
-    if not h > 0:
-        raise GridError(f"spacing must be positive, got {h}")
-    box = domain.bounding_box
-    edges = box[:, 1] - box[:, 0]
-    if h >= float(edges.min()) / 2.0:
-        raise GridError(
-            f"spacing {h} must be below half the shortest bounding-box edge "
-            f"({float(edges.min()) / 2.0})"
-        )
-    # python floats, unlike numpy scalars, overflow to inf without a warning
-    counts = [float(e) / h for e in edges]
-    if not np.all(np.isfinite(counts)):
-        raise GridError(f"spacing {h} is too small to count lattice points")
-    return tuple(int(np.floor(c + 1e-9)) + 1 for c in counts)
+# lattice points per level's window, which build_grid, assemble's index and
+# the transfers allocate; it also keeps the stencil's (2*dim+1)*N entries
+# below 2**31, so assemble's indices are int32
+_POINT_CAP = 20_000_000
 
 
 def _nested_windows(domain: Domain, h_start: float):
     """Yield (h, window) for h = h_start, h_start/2, ...: the window kept of
-    each level's lattice frame, one range of frame indices per axis.
+    each level's lattice, one range of lattice indices per axis.
 
-    The first window spans the domain's extent, from the last frame index
-    at or below it to the first at or above it.  Each later one starts at
-    twice the start of the one before and stops at twice its last index,
-    or at the frame's end when the one before reached its frame's end.  So
-    every window holds the extent, with no interior point on a face that
-    is not the frame's, and coarse index k of a window sits at fine index
-    2k of the next, which the transfers rely on.  Raises GridError as
-    build_grid does, at the first level whose frame cannot be laid.
+    The first window runs from the last lattice index at or below the
+    domain's extent to the first at or past it, so its faces lie outside
+    the domain.  Each later one is range(2*start, 2*stop - 1): its faces are
+    the same points as those of the one before, no interior point is ever
+    on a face, and coarse index k of a window sits at fine index 2k of the
+    next, which the transfers rely on.  Raises GridError as build_grid
+    does, at h_start or at the first level whose window is over the cap.
     """
+    if not h_start > 0:
+        raise GridError(f"spacing must be positive, got {h_start}")
     origin, extent = domain.bounding_box[:, 0], domain.extent
-    window = previous = None
+    edges = domain.bounding_box[:, 1] - origin
+    if h_start >= float(edges.min()) / 2.0:
+        raise GridError(
+            f"spacing {h_start} must be below half the shortest bounding-box edge "
+            f"({float(edges.min()) / 2.0})"
+        )
+    # python floats, unlike numpy scalars, overflow to inf without a warning
+    if not all(math.isfinite(float(e) / h_start) for e in edges):
+        raise GridError(f"spacing {h_start} is too small to count lattice points")
+    first = np.floor((extent[:, 0] - origin) / h_start)
+    last = np.ceil((extent[:, 1] - origin) / h_start)
+    window = tuple(range(int(f), int(l) + 1) for f, l in zip(first, last))
     for level in itertools.count():
         h = h_start * 0.5**level
-        frame = _lattice_shape(domain, h)
-        if window is None:
-            first = np.floor((extent[:, 0] - origin) / h)
-            last = np.ceil((extent[:, 1] - origin) / h)
-            window = tuple(
-                range(int(f), int(min(l, n - 1)) + 1) for f, l, n in zip(first, last, frame)
-            )
-        else:
-            window = tuple(
-                range(2 * w.start, n if w.stop == m else 2 * w.stop - 1)
-                for w, m, n in zip(window, previous, frame)
-            )
+        # stop - start, since len() raises OverflowError past a C ssize_t
+        lattice = math.prod(w.stop - w.start for w in window)
+        if lattice > _POINT_CAP:
+            raise GridError(f"level h={h} has {lattice} lattice points, above the cap {_POINT_CAP}")
         yield h, window
-        previous = frame
+        window = tuple(range(2 * w.start, 2 * w.stop - 1) for w in window)
 
 
-def _interpolate(c: np.ndarray, n: int) -> np.ndarray:
-    """The 1-D interpolation along axis 0 onto `n` fine points:
-    fine[m] = (c[m // 2] + c[(m + 1) // 2]) / 2, with an index past the end
-    of `c` clipped to its last one."""
-    out = np.empty((n,) + c.shape[1:])
-    out[0::2] = c[: (n + 1) // 2]
-    odd = out[1::2]
-    # odd points between two coarse points, then at most one past the last
-    k = min(n // 2, c.shape[0] - 1)
-    odd[:k] = 0.5 * (c[:k] + c[1 : k + 1])
-    odd[k:] = c[k : n // 2]
+def _interpolate(c: np.ndarray) -> np.ndarray:
+    """The 1-D interpolation along axis 0 from n coarse points onto the
+    2n - 1 fine ones: fine[2k] = c[k], fine[2k + 1] = (c[k] + c[k + 1]) / 2."""
+    out = np.empty((2 * c.shape[0] - 1,) + c.shape[1:])
+    out[0::2] = c
+    out[1::2] = 0.5 * (c[:-1] + c[1:])
     return out
 
 
-def _interpolate_transpose(f: np.ndarray, n: int) -> np.ndarray:
-    """The transpose of `_interpolate(., f.shape[0])` from `n` coarse points."""
-    out = np.zeros((n,) + f.shape[1:])
-    even, odd = f[0::2], f[1::2]
-    out[: even.shape[0]] = even
-    k = min(odd.shape[0], n - 1)
-    half = 0.5 * odd[:k]
-    out[:k] += half
-    out[1 : k + 1] += half
-    out[k : odd.shape[0]] += odd[k:]
+def _interpolate_transpose(f: np.ndarray) -> np.ndarray:
+    """The transpose of `_interpolate`, from 2n - 1 fine points onto n coarse."""
+    out = f[0::2].copy()
+    half = 0.5 * f[1::2]
+    out[:-1] += half
+    out[1:] += half
     return out
 
 
@@ -163,6 +146,10 @@ def _check_nested(coarse: Grid, fine: Grid):
         raise GridError(
             f"fine window starts at {fine.start}, not at twice the coarse start {coarse.start}"
         )
+    if fine.shape != tuple(2 * n - 1 for n in coarse.shape):
+        raise GridError(
+            f"fine window has shape {fine.shape}, not 2n - 1 for the coarse shape {coarse.shape}"
+        )
 
 
 def _transfer(operator, source: Grid, values: np.ndarray, target: Grid) -> np.ndarray:
@@ -170,8 +157,8 @@ def _transfer(operator, source: Grid, values: np.ndarray, target: Grid) -> np.nd
     # points hold zero (the Dirichlet value)
     box = np.zeros(source.shape)
     box.ravel()[source.interior_flat] = values  # a view: box is C-contiguous
-    for axis, n in enumerate(target.shape):
-        box = operator(box.swapaxes(0, axis), n).swapaxes(0, axis)
+    for axis in range(box.ndim):
+        box = operator(box.swapaxes(0, axis)).swapaxes(0, axis)
     return box.ravel()[target.interior_flat]
 
 
@@ -179,13 +166,12 @@ def _prolong(coarse: Grid, values: np.ndarray, fine: Grid) -> np.ndarray:
     """Interpolate a field on the interior points of `coarse` onto those of
     `fine`, the same domain at half the spacing.
 
-    Both frames start at the bounding-box corner and the fine window starts
-    at twice the coarse start (GridError otherwise), so fine window index m
-    sits at coarse window index m/2 on every axis, and the interpolation is
-    1-D and linear along each axis in turn.  Omitted coarse points count as
-    zero (the Dirichlet value).  Where the spacing does not divide a box
-    edge, the last fine index can lie past the coarse lattice; it is
-    clipped to the last coarse index.
+    Both lattices start at the bounding-box corner, and the fine window
+    starts at twice the coarse start and is 2n - 1 long where the coarse one
+    is n (GridError otherwise), so fine window index m sits at coarse window
+    index m/2 on every axis, and the interpolation is 1-D and linear along
+    each axis in turn.  Omitted coarse points count as zero (the Dirichlet
+    value).
     """
     _check_nested(coarse, fine)
     return _transfer(_interpolate, coarse, values, fine)
@@ -200,14 +186,15 @@ def _restrict(fine: Grid, values: np.ndarray, coarse: Grid) -> np.ndarray:
 
 
 def build_grid(domain: Domain, h: float, window: tuple | None = None) -> Grid:
-    """Lay a lattice of spacing h over the bounding box and keep the points
-    of `window` strictly inside the domain.
+    """Lay a lattice of spacing h from the bounding-box corner and keep the
+    points of `window` strictly inside the domain.
 
-    `window` holds one range of frame indices per axis, as refine takes it
-    from `_nested_windows`, and must hold the domain's extent; by default
+    `window` holds one range of lattice indices per axis, as refine takes
+    it from `_nested_windows`, and must hold the domain's extent; by default
     it is the window over the extent alone.  Raises GridError when h is
     nonpositive, too coarse relative to the bounding box, so small that the
-    lattice size overflows, or leaves no interior point.
+    lattice size overflows, when the default window would exceed 20,000,000
+    lattice points, or when no point is interior.
     """
     if window is None:
         window = next(_nested_windows(domain, h))[1]

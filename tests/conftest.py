@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from specbound import Ball, Box, Ellipse, Grid, Interval, Polygon, RasterMask, WaveField
-from specbound.discretize import _lattice_shape
 
 L_VERTICES = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0]]
 
@@ -18,9 +17,8 @@ def _block_mask(shape, block, cell, origin=None):
 # (mask, h_start) of masks whose lattice window is a part of the lattice: a
 # 3-D block inside empty margins; a block that reaches the array's far
 # corner, at an origin no spacing divides; and a block at the far corner at
-# a spacing that divides neither the array nor the block, so each finer
-# lattice has two points per coarse one and its last lies past the coarse
-# lattice
+# a spacing that divides neither the array nor the block, so every window
+# ends on a point past the array
 WINDOW_CASES = {
     "mask3-margins": (_block_mask((5, 6, 6), [(1, 3), (2, 5), (1, 4)], 0.25), 0.125),
     "far-edge": (_block_mask((4, 5), [(1, 4), (2, 5)], 0.25, [0.3, -0.7]), 0.125),
@@ -35,12 +33,19 @@ def lattice_points(axes):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def full_frame_grid(domain, h):
-    """The grid whose window is the whole bounding-box lattice, its interior
-    found by testing every lattice point as one (M, dim) array: the
-    reference that windowed grids must reproduce."""
-    shape = _lattice_shape(domain, h)
-    origin = domain.bounding_box[:, 0].copy()
+def full_frame_grid(domain, h, h_start=None):
+    """The grid whose window is the whole bounding-box lattice of a study
+    started at h_start (by default h), its interior found by testing every
+    lattice point as one (M, dim) array: the reference that windowed grids
+    must reproduce.  The study's first lattice ends on the first point at
+    or past the far corner, and each finer one has a point between every
+    two of the one before, so level k has 2**k * ceil(edge / h_start) + 1
+    points per axis."""
+    h_start = h if h_start is None else h_start
+    level = round(math.log2(h_start / h))
+    box = domain.bounding_box
+    origin = box[:, 0].copy()
+    shape = tuple(2**level * math.ceil((hi - lo) / h_start) + 1 for lo, hi in box)
     axes = [origin[a] + np.arange(shape[a]) * h for a in range(domain.dim)]
     inside = domain.membership(lattice_points(axes))
     return Grid(

@@ -216,13 +216,19 @@ class TestCertify:
             ["certify", "--domain", DISK, "--tol", "1"],
             ["lambda1", "--domain", DISK, "--tol", "nan"],
             ["certify", "--domain", DISK, "--levels", "1100"],
+            ["certify", "--domain", DISK, "--h-start", "1e-30"],
             ["sweep", "--family", "rectangle-aspect", "--hbar", "inf"],
         ],
-        ids=["hbar-inf", "hbar-nan", "tol-inf", "tol-1", "tol-nan", "levels-1100", "sweep-hbar-inf"],
+        ids=[
+            "hbar-inf", "hbar-nan", "tol-inf", "tol-1", "tol-nan", "levels-1100", "h-start-1e-30",
+            "sweep-hbar-inf",
+        ],
     )
     def test_vacuous_or_nonfinite_flags_fail_before_any_level(self, capsys, monkeypatch, argv):
         # an infinite hbar, or a tol that certifies nothing, must not run a
-        # study; --levels 1100 stops at the first level over the lattice cap
+        # study; --levels 1100 stops at the first level over the lattice cap,
+        # and --h-start 1e-30 at its first, whose 2e30 + 1 points per axis
+        # are past what a C ssize_t counts
         from specbound import convergence
 
         def forbidden(domain, h):
@@ -493,6 +499,17 @@ class TestSweep:
         ratios = [float(row[ratio_col]) for row in rows]
         assert ratios == sorted(ratios)
         assert ratios[0] < ratios[1] < ratios[2]
+
+    def test_default_values(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--family", "rectangle-aspect", "--h-start", "0.25", "--levels", "3"
+        )
+        assert code == 0
+        lines = out.strip().split("\n")
+        header = lines[0].split(",")
+        rows = [line.split(",") for line in lines[1:]]
+        assert [float(row[header.index("param")]) for row in rows] == [1.0, 1.5, 2.0, 4.0]
+        assert all(row[-1] == "ok" for row in rows)
 
     def test_ellipse_aspect_one_is_circle(self, capsys):
         code, out, _ = run(

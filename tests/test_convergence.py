@@ -236,7 +236,7 @@ def test_windowed_study_equals_full_frame(name, monkeypatch):
     # the windows change what is allocated, never a bit of the answer
     domain, h_start = WINDOW_CASES[name]
     study = refine(domain, h_start, 3)
-    monkeypatch.setattr(convergence, "build_grid", lambda domain, h, window: full_frame_grid(domain, h))
+    monkeypatch.setattr(convergence, "build_grid", lambda domain, h, window: full_frame_grid(domain, h, h_start))
     reference = refine(domain, h_start, 3)
     assert study.lambda1_values.tobytes() == reference.lambda1_values.tobytes()
     assert study.finest_spectrum.eigenvectors.tobytes() == reference.finest_spectrum.eigenvectors.tobytes()

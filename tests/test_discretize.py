@@ -16,12 +16,12 @@ from specbound import (
     assemble,
     build_grid,
 )
-from specbound.discretize import _lattice_shape, _nested_windows, _prolong, _restrict
+from specbound.discretize import _nested_windows, _prolong, _restrict
 
 from conftest import L_VERTICES, WINDOW_CASES, full_frame_grid, lattice_pairs
 
 # (domain, coarse spacing); the 3-ball's 0.3 divides no box edge, so its
-# finest fine index is clipped onto the last coarse one
+# windows end on points past the box
 TRANSFER_CASES = [
     (Ball([0.0, 0.0], 1.0), 0.125),
     (Polygon(L_VERTICES), 0.125),
@@ -120,6 +120,18 @@ class TestBuildGrid:
         # 1 / 5e-324 is inf: no lattice size to predict or allocate
         with pytest.raises(GridError, match="too small"):
             build_grid(unit_interval, 5e-324)
+
+    def test_window_over_the_cap_rejected_before_allocating(self):
+        # a 278^3 window, 21,484,952 points: a build took 181 MiB before
+        # build_grid checked the cap
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridError, match="21484952 lattice points, above the cap 20000000"):
+                build_grid(Box([[0.0, 1.0]] * 3), 1 / 277)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_too_coarse_spacing_rejected(self, unit_interval):
         with pytest.raises(GridError):
@@ -338,7 +350,7 @@ class TestProlong:
     def test_non_dividing_spacing(self, unit_ball3):
         coarse = build_grid(unit_ball3, 0.3)
         fine = build_grid(unit_ball3, 0.15)
-        assert coarse.shape == (7, 7, 7) and fine.shape == (14, 14, 14)
+        assert coarse.shape == (8, 8, 8) and fine.shape == (15, 15, 15)
         out = _prolong(coarse, np.ones(coarse.point_count), fine)
         assert out.shape == (fine.point_count,)
         assert np.all(np.isfinite(out))
@@ -350,17 +362,16 @@ class TestWindows:
         domain, h_start = WINDOW_CASES[name]
         coarse, full_lattice, window_lattice = None, 0, 0
         for h, window in itertools.islice(_nested_windows(domain, h_start), 3):
-            grid, full = build_grid(domain, h, window), full_frame_grid(domain, h)
+            grid, full = build_grid(domain, h, window), full_frame_grid(domain, h, h_start)
             local = lattice_indices(grid)
-            frame_index = local + grid.start
+            lattice_index = local + grid.start
             # the same interior points in the same order, at the same bits
-            flat = np.ravel_multi_index(tuple(frame_index.T), full.shape)
+            flat = np.ravel_multi_index(tuple(lattice_index.T), full.shape)
             assert np.array_equal(flat, full.interior_flat)
             assert grid.points().tobytes() == full.points().tobytes()
-            # no interior point on a window face that is not the frame's
-            starts, stops = np.array(grid.start), np.array(grid.start) + grid.shape
-            assert np.all((local.min(axis=0) > 0) | (starts == 0))
-            assert np.all((local.max(axis=0) < np.array(grid.shape) - 1) | (stops == full.shape))
+            # no interior point on a window face
+            assert np.all(local.min(axis=0) > 0)
+            assert np.all(local.max(axis=0) < np.array(grid.shape) - 1)
             if coarse is not None:
                 assert grid.start == tuple(2 * s for s in coarse.start)
             coarse = grid
@@ -368,18 +379,12 @@ class TestWindows:
             window_lattice += math.prod(grid.shape)
         assert window_lattice < full_lattice
 
-    def test_non_dividing_case_doubles_the_frame(self):
-        # each finer lattice has two points per coarse one, the last of them
-        # past the coarse lattice, where the transfers clip
-        domain, h = WINDOW_CASES["non-dividing"]
-        assert _lattice_shape(domain, h / 2) == tuple(2 * n for n in _lattice_shape(domain, h))
-
     @pytest.mark.parametrize("name", sorted(WINDOW_CASES))
     def test_transfers_on_windows_equal_full_frame(self, name):
         domain, h = WINDOW_CASES[name]
         (_, cw), (_, fw) = itertools.islice(_nested_windows(domain, h), 2)
         coarse, fine = build_grid(domain, h, cw), build_grid(domain, h / 2, fw)
-        full_coarse, full_fine = full_frame_grid(domain, h), full_frame_grid(domain, h / 2)
+        full_coarse, full_fine = full_frame_grid(domain, h), full_frame_grid(domain, h / 2, h)
         rng = np.random.default_rng(19)
         v = rng.standard_normal(coarse.point_count)
         w = rng.standard_normal(fine.point_count)
@@ -387,7 +392,7 @@ class TestWindows:
         assert np.array_equal(_restrict(fine, w, coarse), _restrict(full_fine, w, full_coarse))
 
     def test_transfers_refuse_windows_that_do_not_nest(self):
-        # occupied cells from 0.4: the window at h = 0.25 starts at frame
+        # occupied cells from 0.4: the window at h = 0.25 starts at lattice
         # index 1, the one built alone at h = 0.125 at 3, not at 2
         mask = np.zeros((8, 8), dtype=int)
         mask[4:7, 4:7] = 1
@@ -397,4 +402,14 @@ class TestWindows:
         with pytest.raises(GridError, match="twice the coarse start"):
             _prolong(coarse, np.ones(coarse.point_count), fine)
         with pytest.raises(GridError, match="twice the coarse start"):
+            _restrict(fine, np.ones(fine.point_count), coarse)
+        # a window one point past the coarse one's end starts right but
+        # does not end on its faces
+        disk = Ball([0.0, 0.0], 1.0)
+        coarse = build_grid(disk, 0.125)
+        fine = build_grid(disk, 0.0625, (range(0, 34), range(0, 34)))
+        assert (coarse.shape, fine.shape) == ((17, 17), (34, 34))
+        with pytest.raises(GridError, match="not 2n - 1"):
+            _prolong(coarse, np.ones(coarse.point_count), fine)
+        with pytest.raises(GridError, match="not 2n - 1"):
             _restrict(fine, np.ones(fine.point_count), coarse)

@@ -1,7 +1,8 @@
 """Property tests: spec round trips, the exact power-of-two scaling of the
-discrete lambda1, its invariance under translation and its monotonicity
-under inclusion."""
+discrete lambda1, its invariance under translation, its monotonicity under
+inclusion, and the nesting of a refinement's lattice windows."""
 
+import itertools
 import json
 import math
 
@@ -23,9 +24,10 @@ from specbound import (  # noqa: E402
     domain_from_spec,
     smallest_eigenpairs,
 )
+from specbound.discretize import _nested_windows  # noqa: E402
 from specbound.eigensolve import DEFAULT_TOL  # noqa: E402
 
-from conftest import L_VERTICES  # noqa: E402
+from conftest import L_VERTICES, full_frame_grid  # noqa: E402
 
 CHEAP = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -188,3 +190,49 @@ def test_lambda1_monotone_along_box_l_square_chain(per_unit):
     h = 1.0 / per_unit
     for smaller, larger in zip(L_CHAIN, L_CHAIN[1:]):
         _assert_monotone(smaller, larger, h)
+
+
+@st.composite
+def windowed_studies(draw):
+    """A 2-D or 3-D box, ball, ellipse or mask at a random place, and a
+    starting spacing that in general divides none of its edges."""
+    dim = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["box", "ball", "ellipse", "mask"]))
+    corner = [draw(coords) for _ in range(dim)]
+    sides = [draw(st.floats(0.5, 2.0)) for _ in range(dim)]
+    fraction = draw(st.floats(0.15, 0.45))
+    if kind == "mask":
+        shape = tuple(draw(st.integers(1, 4)) for _ in range(dim))
+        cells = draw(st.lists(st.booleans(), min_size=math.prod(shape), max_size=math.prod(shape)))
+        cells[0] = True
+        # a fraction of the cell, so that a single cell holds a lattice point
+        return RasterMask(np.reshape(cells, shape), sides[0], corner), fraction * sides[0]
+    domain = {
+        "box": lambda: Box([[c, c + s] for c, s in zip(corner, sides)]),
+        "ball": lambda: Ball(corner, sides[0]),
+        "ellipse": lambda: Ellipse(corner, sides),
+    }[kind]()
+    edges = domain.bounding_box[:, 1] - domain.bounding_box[:, 0]
+    return domain, fraction * float(edges.min())
+
+
+@CHEAP
+@given(windowed_studies())
+def test_nested_windows_end_on_exterior_points(study):
+    # every window of a refinement ends on points outside the domain, nests
+    # in the next as the coarse points of it, and holds the interior of the
+    # whole bounding-box lattice
+    domain, h_start = study
+    coarse = None
+    for h, window in itertools.islice(_nested_windows(domain, h_start), 3):
+        grid = build_grid(domain, h, window)
+        local = np.array(np.unravel_index(grid.interior_flat, grid.shape)).T
+        assert np.all(local.min(axis=0) > 0)
+        assert np.all(local.max(axis=0) < np.array(grid.shape) - 1)
+        if coarse is not None:
+            assert grid.start == tuple(2 * s for s in coarse.start)
+            assert grid.shape == tuple(2 * n - 1 for n in coarse.shape)
+        full = full_frame_grid(domain, h, h_start)
+        flat = np.ravel_multi_index(tuple((local + grid.start).T), full.shape)
+        assert np.array_equal(flat, full.interior_flat)
+        coarse = grid

@@ -110,8 +110,8 @@ L_MASK = {
 # masks whose lattice window is a part of the lattice, with the h_start of
 # each: a 3-D block inside empty margins; a block that reaches the array's
 # far corner, at an origin that no spacing divides; and a block at the far
-# corner at a spacing that does not divide the array, so each finer lattice
-# is two points per coarse one and its last point lies past the coarse one
+# corner at a spacing that does not divide the array, so every window ends
+# on a point past the array
 WINDOWED = {
     "mask3-margins": ({
         "kind": "raster-mask", "dim": 3,
@@ -139,6 +139,9 @@ OFFCENTRE = {
     "disk": {"kind": "ball", "dim": 2, "params": {"center": [0.3, -0.2], "radius": 1.3}},
     "ball3": {"kind": "ball", "dim": 3, "params": {"center": [0.1, 0.2, -0.3], "radius": 1.3}},
 }
+
+# a box whose short edge no spacing h_start/2^k of the default study divides
+BOX_1X07 = {"kind": "box", "dim": 2, "params": {"bounds": [[0, 1], [0, 0.7]]}}
 
 # the segment 0.5 +/- 0.5 as an ellipse of one axis
 ELLIPSE_1D = {"kind": "ellipse", "dim": 1, "params": {"center": [0.5], "semi_axes": [0.5]}}
@@ -214,6 +217,9 @@ def cases() -> list:
         *((f"certify-{name}-offcentre", ["certify", "--domain", json.dumps(spec), "--h-start", "0.325", "--levels", "3"], None)
           for name, spec in OFFCENTRE.items()),
         ("dump-spec-ellipse-1d", ["dump-spec", "--domain", json.dumps(ELLIPSE_1D)], None),
+        # refinements whose spacing divides no bounding-box edge
+        ("certify-box-1x0.7", ["certify", "--domain", json.dumps(BOX_1X07)], None),
+        ("lambda1-ball3-h0.3", ["lambda1", "--domain", _spec("ball3"), "--h-start", "0.3", "--levels", "3"], None),
         # input errors (exit 2) and non-convergence (exit 3)
         ("error-unknown-kind", ["certify", "--domain", '{"kind":"torus","dim":2,"params":{}}'], None),
         ("error-malformed-json", ["lambda1", "--domain", '{"kind":'], None),
