@@ -10,10 +10,11 @@ membership test, `assemble`'s index and the V-cycle transfers.  Over a
 refinement the windows are nested, each starting at twice the index of the
 one before and ending on the same exterior points, so a point and its
 neighbors are those of the whole lattice and every result is the same bit
-for bit.  `assemble` finds adjacent interior points by one forward walk
-per axis, through an inverse index over the window that it builds and
-frees itself; the backward pairs are the forward ones with source and
-target swapped.
+for bit.  `assemble` finds the neighbors of the interior points by one
+gather per stencil slot, at a fixed offset in the flat window index,
+through an inverse index over the window that it builds and frees itself;
+since no interior point lies on a window face, every offset stays inside
+the window.
 
 Interior points are numbered in row-major lattice order, so `assemble`
 writes each stencil row straight into CSR in ascending column order: the
@@ -194,13 +195,18 @@ def build_grid(domain: Domain, h: float, window: tuple | None = None) -> Grid:
     it is the window over the extent alone.  Raises GridError when h is
     nonpositive, too coarse relative to the bounding box, so small that the
     lattice size overflows, when the default window would exceed 20,000,000
-    lattice points, or when no point is interior.
+    lattice points, when an interior point lies on a face of the window
+    (which then does not hold the extent), or when no point is interior.
     """
     if window is None:
         window = next(_nested_windows(domain, h))[1]
     origin = domain.bounding_box[:, 0].copy()
     axes = [origin[a] + np.arange(r.start, r.stop) * h for a, r in enumerate(window)]
-    interior_flat = np.flatnonzero(domain.lattice_membership(axes))
+    inside = domain.lattice_membership(axes)
+    # assemble's stencil and the transfers take every face point as exterior
+    if any(inside.take(end, axis).any() for axis in range(inside.ndim) for end in (0, -1)):
+        raise GridError(f"an interior point lies on a face of the window {window}")
+    interior_flat = np.flatnonzero(inside)
     if interior_flat.shape[0] == 0:
         raise GridError(f"no interior lattice point at spacing {h}; refine h")
     return Grid(
@@ -226,26 +232,21 @@ def assemble(grid: Grid) -> OperatorMatrix:
     # the interior numbering of every window point, -1 where omitted
     number = np.full(math.prod(shape), -1, dtype=index)
     number[flat] = np.arange(n)
-    # one row per point in ascending column order (module docstring);
-    # -1 marks an omitted neighbor
-    cols = np.full((n, 2 * dim + 1), -1, dtype=index)
-    cols[:, dim] = np.arange(n)
-    for axis in range(dim):
-        # row-major: a point's coordinate along `axis` is (flat // stride)
-        # % shape[axis], and one cell forward adds stride to flat
-        stride = math.prod(shape[axis + 1:])
-        valid = (flat // stride) % shape[axis] + 1 < shape[axis]
-        dst = number[flat[valid] + stride]
-        src = np.nonzero(valid)[0][dst >= 0]
-        dst = dst[dst >= 0]
-        cols[dst, axis] = src
-        cols[src, 2 * dim - axis] = dst
+    # one row per point in ascending column order (module docstring), one
+    # gather per stencil slot; -1 marks an omitted neighbor.  No interior
+    # point is on a window face, so every neighbor is in the window
+    strides = [math.prod(shape[axis + 1:]) for axis in range(dim)]
+    cols = np.empty((n, 2 * dim + 1), dtype=index)
+    for k, offset in enumerate([-s for s in strides] + [0] + strides[::-1]):
+        cols[:, k] = number[flat + offset]
     # not held through the allocations below, where the peak is
-    del number, valid, src, dst
+    del number
     present = cols >= 0
     indices = cols[present]
     indptr = np.zeros(n + 1, dtype=index)
     np.cumsum(present.sum(axis=1, dtype=index), out=indptr[1:])
+    diagonal = indptr[:-1] + present[:, :dim].sum(axis=1, dtype=index)
+    del cols, present
     data = np.full(indices.shape[0], -1.0 / h2)
-    data[indptr[:-1] + present[:, :dim].sum(axis=1, dtype=index)] = 2.0 * dim / h2
+    data[diagonal] = 2.0 * dim / h2
     return OperatorMatrix(matrix=sparse.csr_matrix((data, indices, indptr), shape=(n, n)))

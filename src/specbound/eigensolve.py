@@ -6,10 +6,13 @@ Comput. 23(2)) whose every step tests a residual from a fresh product.  It
 starts from the caller's `v0` or else from the constant vector, which is not
 orthogonal to the one-signed ground state.  No start is random, so iteration
 counts and vectors are reproducible.  The search direction is always
-preconditioned: by conjugate gradients on the operator itself
-(`_coarse_solve`), or in a refinement by one geometric multigrid V-cycle
-over the levels built so far (`_v_cycle`), which also acts on each level's
-operator only through products.
+preconditioned, on a level of at most 128 points by its dense inverse and
+on a larger one by conjugate gradients on the operator itself
+(`_coarse_solver`); in a refinement, a level above that size takes one
+geometric multigrid V-cycle over the levels built so far (`_v_cycle`),
+which starts at the finest level solved directly, else at the first.  The
+dense inverse is built from the products of the operator with the unit
+vectors, so every path acts on an operator only through products.
 """
 
 from __future__ import annotations
@@ -41,6 +44,12 @@ _LAMBDA_MARGIN = 1e-12
 # a backstop for a solve that keeps making progress; the stall rule ended
 # every failing solve seen by step 79, and a converging one takes tens
 _CAP = 2000
+# a level with at most this many points is preconditioned by its dense
+# inverse, built once.  At 1 BLAS thread inv takes 0.43 ms at N = 121,
+# 3.1 ms at 251, 6.6 ms at 343 and 50 ms at 793 (the disk's first level).
+# On the benchmark this cap cut the mask sweep's wall time by 20-28%; 256
+# was no faster, and 1024 slowed the 2-D solves by 40%
+_DIRECT_POINTS = 128
 
 
 class SolverConvergenceError(RuntimeError):
@@ -115,7 +124,17 @@ def _coarse_solve(a, b):
     return x
 
 
-def _v_cycle(grids: list, matrices: list, b: np.ndarray) -> np.ndarray:
+def _coarse_solver(a):
+    """The map b -> T b, T an approximation of A^-1, of a level solved on
+    its own: A^-1 itself for at most `_DIRECT_POINTS` points, else
+    conjugate gradients to a relative residual of 1e-2."""
+    n = a.shape[0]
+    if n <= _DIRECT_POINTS:
+        return np.linalg.inv(a @ np.eye(n)).__matmul__
+    return functools.partial(_coarse_solve, a)
+
+
+def _v_cycle(grids: list, matrices: list, coarsest, b: np.ndarray) -> np.ndarray:
     """One geometric V-cycle for A x = b, A the last of `matrices`, over the
     levels of a refinement, each grid at half the spacing of the one
     before: an approximation T b to A^-1 b that serves as a preconditioner.
@@ -123,19 +142,19 @@ def _v_cycle(grids: list, matrices: list, b: np.ndarray) -> np.ndarray:
     Each level above the first smooths with two damped Jacobi sweeps before
     and two after the coarse-level correction; the residual goes down by
     full weighting, 2^-dim times the transpose of `_prolong`, onto the
-    coarser level's own operator.  The first level is solved by conjugate
-    gradients to a relative residual of 1e-2.
+    coarser level's own operator.  The first level is solved by
+    `coarsest`, its `_coarse_solver`.
     """
     a = matrices[-1].matrix
     if len(matrices) == 1:
-        return _coarse_solve(a, b)
+        return coarsest(b)
     grid, coarse = grids[-1], grids[-2]
     # omega = 2 dim / (2 dim + 1) over the constant diagonal 2 dim / h^2
     c = grid.spacing**2 / (2 * grid.dim + 1)
     x = c * b
     x += c * (b - a @ x)
     r = 2.0**-grid.dim * _restrict(grid, b - a @ x, coarse)
-    x += _prolong(coarse, _v_cycle(grids[:-1], matrices[:-1], r), grid)
+    x += _prolong(coarse, _v_cycle(grids[:-1], matrices[:-1], coarsest, r), grid)
     for _ in range(2):
         x += c * (b - a @ x)
     return x
@@ -221,9 +240,10 @@ def smallest_eigenpairs(
 
     `precondition` maps a residual r to T r with T an approximation of
     A^-1, and each step searches along T r in place of r.  It changes how
-    fast the residual falls, not the test it must pass.  The default runs
+    fast the residual falls, not the test it must pass.  The default is
+    A^-1, formed densely, when A has at most 128 rows, and otherwise
     conjugate gradients on A to a relative residual of 1e-2; `refine`
-    passes one multigrid V-cycle over its levels.  Either holds the count
+    passes one multigrid V-cycle over its levels.  Each holds the count
     near a dozen iterations on the benchmark's shapes.
 
     Raises SolverConvergenceError when the latter half of the iterations
@@ -235,7 +255,7 @@ def smallest_eigenpairs(
         raise ValueError(f"tol must be in (0, 1), got {tol}")
     start = np.ones(a.shape[0]) if v0 is None else v0
     if precondition is None:
-        precondition = functools.partial(_coarse_solve, a)
+        precondition = _coarse_solver(a)
     lam, x, res = _lobpcg(a, start, tol, precondition)
     # a fresh array: a view of x would keep the whole (6, N) work buffer alive
     sign = -1.0 if x.sum() < 0 else 1.0

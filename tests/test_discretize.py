@@ -71,7 +71,7 @@ class TestBuildGrid:
 
     def test_indices_are_bijective(self, unit_disk):
         # point i is the i-th interior point in lattice order, the numbering
-        # that assemble's forward walk and CSR rows rely on
+        # that assemble's stencil gathers and CSR rows rely on
         grid = build_grid(unit_disk, 0.25)
         assert grid.point_count > 1
         assert np.all(np.diff(grid.interior_flat) > 0)
@@ -136,6 +136,17 @@ class TestBuildGrid:
     def test_too_coarse_spacing_rejected(self, unit_interval):
         with pytest.raises(GridError):
             build_grid(unit_interval, 0.5)
+
+    def test_window_with_an_interior_face_point_rejected(self, unit_square, unit_ball3):
+        # assemble's stencil takes every face point of the window as
+        # exterior, so a window that cuts the domain is refused
+        assert build_grid(unit_square, 0.25, (range(0, 5), range(0, 5))).point_count == 9
+        for domain, window in (
+            (unit_square, (range(0, 5), range(0, 4))),
+            (unit_ball3, (range(1, 9), range(0, 9), range(0, 9))),
+        ):
+            with pytest.raises(GridError, match="face"):
+                build_grid(domain, 0.25, window)
 
     def test_empty_grid_rejected(self):
         # single occupied cell in a 4x4 mask: bounding box [0,1]^2 but no

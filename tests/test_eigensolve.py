@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import re
 
@@ -18,8 +19,10 @@ from specbound import (
     smallest_eigenpairs,
 )
 
+from specbound import eigensolve
+from specbound.convergence import refine
 from specbound.discretize import _prolong
-from specbound.eigensolve import _IDLE, _v_cycle
+from specbound.eigensolve import _DIRECT_POINTS, _IDLE, _coarse_solve, _coarse_solver, _v_cycle
 
 from conftest import L_VERTICES, normalized, rayleigh_quotient
 
@@ -122,11 +125,19 @@ class TestSmallestEigenpairs:
         assert warm.residuals[0] <= 1e-10 * warm.eigenvalues[0]
 
     def test_v_cycle_maps_zero_to_zero(self, unit_disk, unit_ball3):
-        # the coarsest level's conjugate gradients must not divide 0 by 0
-        for domain in (unit_disk, unit_ball3):
-            grids = [build_grid(domain, h) for h in (0.25, 0.125, 0.0625)]
+        # the coarsest level's conjugate gradients must not divide 0 by 0;
+        # the disk at 0.25 starts from a dense inverse, the 3-ball at 0.25
+        # (251 points) and the disk at 1/16 (793) from conjugate gradients
+        for domain, spacings in (
+            (unit_disk, (0.25, 0.125, 0.0625)),
+            (unit_ball3, (0.25, 0.125, 0.0625)),
+            (unit_disk, (0.0625, 0.03125)),
+        ):
+            grids = [build_grid(domain, h) for h in spacings]
+            matrices = [assemble(g) for g in grids]
             zero = np.zeros(grids[-1].point_count)
-            assert np.array_equal(_v_cycle(grids, [assemble(g) for g in grids], zero), zero)
+            coarsest = _coarse_solver(matrices[0].matrix)
+            assert np.array_equal(_v_cycle(grids, matrices, coarsest, zero), zero)
 
     def test_zero_or_nonfinite_start_rejected(self, unit_interval):
         matrix = assemble(build_grid(unit_interval, 0.25))
@@ -197,12 +208,53 @@ class TestSmallestEigenpairs:
             def __matmul__(self, other):
                 return self._matrix @ other
 
-        matrix = assemble(build_grid(unit_disk, 0.125))
-        wrapped = dataclasses.replace(matrix, matrix=MatmulOnly(matrix.matrix))
-        plain = smallest_eigenpairs(matrix)
-        proxied = smallest_eigenpairs(wrapped)
-        for name in ("eigenvalues", "eigenvectors", "residuals"):
-            assert np.array_equal(getattr(plain, name), getattr(proxied, name))
+        # 193 points are preconditioned by conjugate gradients, 45 by a
+        # dense inverse
+        for h in (0.125, 0.25):
+            matrix = assemble(build_grid(unit_disk, h))
+            wrapped = dataclasses.replace(matrix, matrix=MatmulOnly(matrix.matrix))
+            plain = smallest_eigenpairs(matrix)
+            proxied = smallest_eigenpairs(wrapped)
+            for name in ("eigenvalues", "eigenvectors", "residuals"):
+                assert np.array_equal(getattr(plain, name), getattr(proxied, name))
+
+    @pytest.mark.parametrize(
+        "domain, h",
+        [
+            (Box([[0.0, 1.0], [0.0, 1.0]]), 1.0 / 8),
+            (Ball([0.0, 0.0], 1.0), 0.25),
+            (Polygon(L_VERTICES), 0.25),
+        ],
+        ids=["square", "disk", "L-shape"],
+    )
+    def test_direct_and_cg_preconditioning_agree(self, domain, h):
+        matrix = assemble(build_grid(domain, h))
+        a = matrix.matrix
+        assert a.shape[0] <= _DIRECT_POINTS
+        direct = smallest_eigenpairs(matrix)
+        cg = smallest_eigenpairs(matrix, precondition=functools.partial(_coarse_solve, a))
+        assert direct.eigenvalues[0] == pytest.approx(cg.eigenvalues[0], rel=1e-10)
+        assert direct.residuals[0] <= 1e-10 * direct.eigenvalues[0]
+
+    def test_small_levels_solved_directly_once(self, unit_square, monkeypatch):
+        # levels of 9 and 49 points each invert once; the third (225) runs
+        # its V-cycle down to the second, so no level runs conjugate gradients
+        inverted, real_inv = [], np.linalg.inv
+
+        def inv(a):
+            inverted.append(a.shape[0])
+            return real_inv(a)
+
+        def no_cg(a, b):
+            raise AssertionError("conjugate gradients ran")
+
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        monkeypatch.setattr(eigensolve, "_coarse_solve", no_cg)
+        study = refine(unit_square, 0.25, 3)
+        assert inverted == [9, 49]
+        assert study.lambda1_values[-1] == pytest.approx(
+            (8 / (1 / 16) ** 2) * math.sin(math.pi / 32) ** 2, rel=1e-9
+        )
 
     def test_monotone_under_domain_restriction(self):
         # nested rasters at the same spacing: shrinking the domain can only
