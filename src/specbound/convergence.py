@@ -8,7 +8,6 @@ order, and the error estimate is the gap between the last two extrapolants.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -22,14 +21,7 @@ from .discretize import (
     assemble,
     build_grid,
 )
-from .eigensolve import (
-    DEFAULT_TOL,
-    Spectrum,
-    _DIRECT_POINTS,
-    _coarse_solver,
-    _v_cycle,
-    smallest_eigenpairs,
-)
+from .eigensolve import DEFAULT_TOL, Spectrum, _add_level, smallest_eigenpairs
 from .geometry import Domain
 from ._format import csv_text
 
@@ -73,11 +65,8 @@ def refine(
 
     Level 0 starts the eigensolve from the solver's default, the constant
     vector; each finer level starts from the coarser level's ground state,
-    interpolated onto its lattice (nested iteration).  A level of at most
-    128 points is preconditioned by its dense inverse, built once; every
-    other level by one V-cycle over the levels built so far, down to the
-    finest level of at most 128 points, whose inverse solves it, or else
-    to level 0, which is solved by conjugate gradients on its own operator.
+    interpolated onto its lattice (nested iteration).  The levels form the
+    multigrid hierarchy that preconditions each solve (see `eigensolve`).
 
     Each level keeps a window of its bounding-box lattice that holds the
     domain's extent, nested in the next (see `_nested_windows`): for a
@@ -93,27 +82,20 @@ def refine(
     if levels < 3:
         raise ValueError(f"need at least 3 refinement levels, got {levels}")
     windows = list(itertools.islice(_nested_windows(domain, h_start), levels))
-    spacings = [h for h, _ in windows]
-    lams, grids, matrices = [], [], []
-    v0 = None
+    lams, hierarchy, coarse = [], [], None
     for h, window in windows:
         grid = build_grid(domain, h, window)
         matrix = assemble(grid)
-        grids.append(grid)
-        matrices.append(matrix)
-        if len(grids) == 1 or grid.point_count <= _DIRECT_POINTS:
-            # the V-cycle of this level and every finer one starts here
-            first, coarsest = len(grids) - 1, _coarse_solver(matrix.matrix)
+        precondition = _add_level(hierarchy, grid, matrix)
         # the level's memory peak is the eigensolve (cube at h = 1/64, traced:
         # 50.0 MB, against 28.4 MB during assembly); the start vector is
         # prolonged after assembly, so it does not add to the latter
-        if len(grids) > 1:
-            v0 = _prolong(grids[-2], spectrum.eigenvectors[:, 0], grid)
-        precondition = functools.partial(_v_cycle, grids[first:], matrices[first:], coarsest)
+        v0 = None if coarse is None else _prolong(coarse, spectrum.eigenvectors[:, 0], grid)
         spectrum = smallest_eigenpairs(matrix, tol=tol, v0=v0, precondition=precondition)
         lams.append(float(spectrum.eigenvalues[0]))
+        coarse = grid
     lams = np.array(lams)
-    hs = np.array(spacings)
+    hs = np.array([h for h, _ in windows])
 
     diffs = np.diff(lams)
     usable = np.abs(diffs) > 0

@@ -5,14 +5,16 @@ state comes from a single-vector LOBPCG loop (Knyazev 2001, SIAM J. Sci.
 Comput. 23(2)) whose every step tests a residual from a fresh product.  It
 starts from the caller's `v0` or else from the constant vector, which is not
 orthogonal to the one-signed ground state.  No start is random, so iteration
-counts and vectors are reproducible.  The search direction is always
-preconditioned, on a level of at most 128 points by its dense inverse and
-on a larger one by conjugate gradients on the operator itself
-(`_coarse_solver`); in a refinement, a level above that size takes one
-geometric multigrid V-cycle over the levels built so far (`_v_cycle`),
-which starts at the finest level solved directly, else at the first.  The
-dense inverse is built from the products of the operator with the unit
-vectors, so every path acts on an operator only through products.
+counts and vectors are reproducible.
+
+The search direction is always preconditioned, over a hierarchy of levels
+at halved spacings that `_add_level` grows.  A refinement's first level,
+and every level of at most 128 points, starts a new hierarchy and is
+solved on its own: up to 128 points by its dense inverse, built once from
+the products of its operator with the unit vectors, else by conjugate
+gradients on its operator.  Every other level takes one geometric
+multigrid V-cycle down to the level that started its hierarchy
+(`_v_cycle`).  A lone operator is a one-level hierarchy.
 """
 
 from __future__ import annotations
@@ -124,37 +126,42 @@ def _coarse_solve(a, b):
     return x
 
 
-def _coarse_solver(a):
-    """The map b -> T b, T an approximation of A^-1, of a level solved on
-    its own: A^-1 itself for at most `_DIRECT_POINTS` points, else
-    conjugate gradients to a relative residual of 1e-2."""
+def _add_level(levels: list, grid: Grid | None, matrix: OperatorMatrix):
+    """Add a level to the hierarchy `levels` (module docstring), a list of
+    (grid, matrix, solve) with `solve`, b -> T b, on the first level only,
+    and return the level's preconditioner.  A restart drops the levels
+    below; a lone operator may come with no grid."""
+    a = matrix.matrix
     n = a.shape[0]
     if n <= _DIRECT_POINTS:
-        return np.linalg.inv(a @ np.eye(n)).__matmul__
-    return functools.partial(_coarse_solve, a)
+        levels.clear()
+        levels.append((grid, matrix, np.linalg.inv(a @ np.eye(n)).__matmul__))
+    elif not levels:
+        levels.append((grid, matrix, functools.partial(_coarse_solve, a)))
+    else:
+        levels.append((grid, matrix, None))
+    return functools.partial(_v_cycle, tuple(levels))
 
 
-def _v_cycle(grids: list, matrices: list, coarsest, b: np.ndarray) -> np.ndarray:
-    """One geometric V-cycle for A x = b, A the last of `matrices`, over the
-    levels of a refinement, each grid at half the spacing of the one
-    before: an approximation T b to A^-1 b that serves as a preconditioner.
+def _v_cycle(levels: tuple, b: np.ndarray) -> np.ndarray:
+    """One geometric V-cycle for A x = b, A the operator of the last of
+    `levels`: an approximation T b to A^-1 b that serves as a preconditioner.
 
     Each level above the first smooths with two damped Jacobi sweeps before
     and two after the coarse-level correction; the residual goes down by
     full weighting, 2^-dim times the transpose of `_prolong`, onto the
-    coarser level's own operator.  The first level is solved by
-    `coarsest`, its `_coarse_solver`.
+    coarser level's own operator.  The first level applies its own solver.
     """
-    a = matrices[-1].matrix
-    if len(matrices) == 1:
-        return coarsest(b)
-    grid, coarse = grids[-1], grids[-2]
+    grid, matrix, solve = levels[-1]
+    if len(levels) == 1:
+        return solve(b)
+    a, coarse = matrix.matrix, levels[-2][0]
     # omega = 2 dim / (2 dim + 1) over the constant diagonal 2 dim / h^2
     c = grid.spacing**2 / (2 * grid.dim + 1)
     x = c * b
     x += c * (b - a @ x)
     r = 2.0**-grid.dim * _restrict(grid, b - a @ x, coarse)
-    x += _prolong(coarse, _v_cycle(grids[:-1], matrices[:-1], coarsest, r), grid)
+    x += _prolong(coarse, _v_cycle(levels[:-1], r), grid)
     for _ in range(2):
         x += c * (b - a @ x)
     return x
@@ -241,10 +248,9 @@ def smallest_eigenpairs(
     `precondition` maps a residual r to T r with T an approximation of
     A^-1, and each step searches along T r in place of r.  It changes how
     fast the residual falls, not the test it must pass.  The default is
-    A^-1, formed densely, when A has at most 128 rows, and otherwise
-    conjugate gradients on A to a relative residual of 1e-2; `refine`
-    passes one multigrid V-cycle over its levels.  Each holds the count
-    near a dozen iterations on the benchmark's shapes.
+    that of A as a one-level hierarchy, and `refine` passes that of its
+    level (module docstring); each holds the count near a dozen iterations
+    on the benchmark's shapes.
 
     Raises SolverConvergenceError when the latter half of the iterations
     (and at least 64) neither halve the best residual nor lower lambda by
@@ -255,7 +261,7 @@ def smallest_eigenpairs(
         raise ValueError(f"tol must be in (0, 1), got {tol}")
     start = np.ones(a.shape[0]) if v0 is None else v0
     if precondition is None:
-        precondition = _coarse_solver(a)
+        precondition = _add_level([], None, matrix)
     lam, x, res = _lobpcg(a, start, tol, precondition)
     # a fresh array: a view of x would keep the whole (6, N) work buffer alive
     sign = -1.0 if x.sum() < 0 else 1.0

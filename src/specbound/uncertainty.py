@@ -92,13 +92,25 @@ def momentum_stddev(matrix: OperatorMatrix, field: WaveField, hbar: float = 1.0)
 
 
 def position_stddev(field: WaveField) -> float:
-    """Total position spread sqrt(sum_i h^n psi_i^2 ||x_i - mean||^2)."""
+    """Total position spread sqrt(sum_i h^n psi_i^2 ||x_i - mean||^2).
+
+    The coordinates are those of `Grid.points`, formed one axis at a time
+    in two buffers of N entries rather than as an (N, dim) array."""
     _require_normalized(field)
+    grid = field.grid
     prob = field.weight * field.values**2
-    points = field.grid.points()
-    mean = prob @ points
-    centered = points - mean
-    return math.sqrt(float(prob @ np.sum(centered**2, axis=1)))
+    index, x = np.empty_like(grid.interior_flat), np.empty_like(prob)
+    squares = np.zeros_like(prob)
+    for axis in range(grid.dim):
+        np.floor_divide(grid.interior_flat, math.prod(grid.shape[axis + 1:]), out=index)
+        index %= grid.shape[axis]
+        index += grid.start[axis]
+        np.multiply(index, grid.spacing, out=x)
+        x += grid.origin[axis]
+        x -= prob @ x
+        x *= x
+        squares += x
+    return math.sqrt(float(prob @ squares))
 
 
 def krahn_ratio(lambda1: float, metrics: DomainMetrics, n: int) -> float:

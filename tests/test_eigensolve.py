@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -19,10 +20,10 @@ from specbound import (
     smallest_eigenpairs,
 )
 
-from specbound import eigensolve
+from specbound import convergence, eigensolve
 from specbound.convergence import refine
 from specbound.discretize import _prolong
-from specbound.eigensolve import _DIRECT_POINTS, _IDLE, _coarse_solve, _coarse_solver, _v_cycle
+from specbound.eigensolve import _DIRECT_POINTS, _IDLE, _add_level, _coarse_solve, _v_cycle
 
 from conftest import L_VERTICES, normalized, rayleigh_quotient
 
@@ -133,11 +134,13 @@ class TestSmallestEigenpairs:
             (unit_ball3, (0.25, 0.125, 0.0625)),
             (unit_disk, (0.0625, 0.03125)),
         ):
-            grids = [build_grid(domain, h) for h in spacings]
-            matrices = [assemble(g) for g in grids]
-            zero = np.zeros(grids[-1].point_count)
-            coarsest = _coarse_solver(matrices[0].matrix)
-            assert np.array_equal(_v_cycle(grids, matrices, coarsest, zero), zero)
+            levels = []
+            for h in spacings:
+                grid = build_grid(domain, h)
+                _add_level(levels, grid, assemble(grid))
+            assert len(levels) == len(spacings)
+            zero = np.zeros(grid.point_count)
+            assert np.array_equal(_v_cycle(tuple(levels), zero), zero)
 
     def test_zero_or_nonfinite_start_rejected(self, unit_interval):
         matrix = assemble(build_grid(unit_interval, 0.25))
@@ -255,6 +258,30 @@ class TestSmallestEigenpairs:
         assert study.lambda1_values[-1] == pytest.approx(
             (8 / (1 / 16) ** 2) * math.sin(math.pi / 32) ** 2, rel=1e-9
         )
+
+    @pytest.mark.parametrize(
+        "shape, h, expected",
+        [
+            ("square", 0.25, [[True], [False, True], [False, True, True]]),
+            ("disk", 0.0625, [[True], [True, True], [True, True, True]]),
+        ],
+    )
+    def test_levels_below_a_restart_are_freed(self, shape, h, expected, monkeypatch):
+        # the square's levels of 9 and 49 points each restart the hierarchy,
+        # so level 0's operator is gone by the time level 1 is solved, and
+        # level 1's, the coarsest of level 2's V-cycle, stays alive; the
+        # disk's levels (793 points and up) all serve the finest V-cycle
+        domain = Box([[0.0, 1.0], [0.0, 1.0]]) if shape == "square" else Ball([0.0, 0.0], 1.0)
+        real, refs, alive = convergence.smallest_eigenpairs, [], []
+
+        def solve(matrix, **kwargs):
+            refs.append(weakref.ref(matrix))
+            alive.append([ref() is not None for ref in refs])
+            return real(matrix, **kwargs)
+
+        monkeypatch.setattr(convergence, "smallest_eigenpairs", solve)
+        refine(domain, h, 3)
+        assert alive == expected
 
     def test_monotone_under_domain_restriction(self):
         # nested rasters at the same spacing: shrinking the domain can only

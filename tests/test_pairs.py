@@ -93,10 +93,17 @@ def test_ties_count_for_neither_and_higher_is_better_flips(pairs):
     assert (wall["change_wins"], wall["parent_wins"]) == (0, 1)
 
 
+def traced_line(matvecs):
+    return json.dumps({
+        "correct": True, "attempted": 2, "failed": 0,
+        "metrics": {"eigensolve.matvecs": {"value": matvecs, "unit": "count"}},
+    })
+
+
 def test_main_alternates_sides_and_keeps_failed_runs(pairs, tmp_path):
-    # each fake checkout's run.py prints its own wall time; the change's
-    # fails on its second call
-    for side, wall in (("parent", 0.4), ("change", 0.3)):
+    # each fake checkout's run.py prints its own wall time, or with
+    # --trace 1 its own matvec count; the change's fails on its second call
+    for side, wall, matvecs in (("parent", 0.4, 878), ("change", 0.3, 877)):
         bench = tmp_path / side / "perfbench"
         bench.mkdir(parents=True)
         (bench / "run.py").write_text(
@@ -106,7 +113,9 @@ def test_main_alternates_sides_and_keeps_failed_runs(pairs, tmp_path):
             "count.write_text(str(n + 1))\n"
             f"if {side == 'change'} and n == 1:\n"
             "    sys.exit(1)\n"
-            f"print('perfbench')\nprint({line(wall, 50.0)!r})\n",
+            "traced = sys.argv[sys.argv.index('--trace') + 1] == '1'\n"
+            "print('perfbench')\n"
+            f"print({traced_line(matvecs)!r} if traced else {line(wall, 50.0)!r})\n",
             encoding="utf-8",
         )
     out = tmp_path / "bench.json"
@@ -127,3 +136,10 @@ def test_main_alternates_sides_and_keeps_failed_runs(pairs, tmp_path):
     assert entry["missing_runs"] == {"parent": 0, "change": 1}
     wall = entry["metrics"]["wall_s"]
     assert (wall["pairs"], wall["change_wins"]) == (2, 2)
+    # one traced run per side after the pairs, outside every statistic
+    assert set(entry["metrics"]) == {"wall_s", "peak_rss_mb"}
+    for side, matvecs in (("parent", 878), ("change", 877)):
+        assert (tmp_path / side / "calls").read_text() == "4"
+        traced = entry["traced"][side]["result"]
+        assert traced["metrics"]["eigensolve.matvecs"]["value"] == matvecs
+    assert report["traced_command"].endswith("--trace 1")

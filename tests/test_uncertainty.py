@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from specbound import (
     Ball,
     DomainMetrics,
     Interval,
+    Polygon,
+    RasterMask,
     WaveField,
     assemble,
     build_grid,
@@ -19,7 +22,7 @@ from specbound import (
     smallest_eigenpairs,
 )
 
-from conftest import normalized, rayleigh_quotient
+from conftest import L_VERTICES, normalized, rayleigh_quotient
 
 J01 = 2.404825557695773
 
@@ -95,6 +98,27 @@ class TestPositionStddev:
         grid = build_grid(RasterMask(mask, cell_size=1.0 / 3.0), 0.25)
         field = WaveField(np.array([4.0]), grid)
         assert position_stddev(field) == 0.0
+
+    @pytest.mark.parametrize(
+        "domain, h",
+        [
+            (Ball([0.3, -0.2], 1.3), 1.0 / 16),
+            (Ball([0.1, 0.2, -0.3], 1.3), 0.1),
+            (Polygon(L_VERTICES), 1.0 / 16),
+            (RasterMask(np.array([[0, 0, 0], [0, 1, 1], [1, 1, 0]]), 0.25, [0.3, -1.0]), 1.0 / 32),
+        ],
+        ids=["disk", "ball3", "L-shape", "mask"],
+    )
+    def test_matches_the_point_array_form(self, domain, h):
+        # the oracle forms every coordinate at once with Grid.points; the
+        # mask's window starts away from the lattice's index 0
+        grid = build_grid(domain, h)
+        rng = np.random.default_rng(5)
+        field = normalized(WaveField(rng.random(grid.point_count) + 0.1, grid))
+        prob = field.weight * field.values**2
+        points = grid.points()
+        spread = math.sqrt(float(prob @ np.sum((points - prob @ points) ** 2, axis=1)))
+        assert position_stddev(field) == pytest.approx(spread, rel=1e-14)
 
     def test_kennard_product_on_interval(self, unit_interval):
         grid, matrix, _, field = ground_state(unit_interval, 1.0 / 64)
@@ -189,6 +213,21 @@ class TestCertifyBounds:
     def test_serialization_deterministic(self, interval_report):
         assert interval_report.to_json() == interval_report.to_json()
         assert interval_report.to_csv() == interval_report.to_csv()
+
+    def test_transient_memory_is_a_few_vectors(self, unit_ball3):
+        # sigma_x forms one coordinate axis at a time, not the (N, 3) point
+        # array: the 3-ball at h = 1/16 (N = 17,071) peaks near 5.5 vectors
+        # of N doubles, where the point array made 12
+        study = refine(unit_ball3, 0.25, 3)
+        n = study.finest_grid.point_count
+        certify_bounds(study)
+        tracemalloc.start()
+        try:
+            certify_bounds(study)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 8 * n
 
     def test_hbar_covariance_leaves_ratios_unchanged(self, unit_interval):
         study = refine(unit_interval, 1.0 / 8, 3)

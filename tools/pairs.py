@@ -9,6 +9,9 @@ For every workload and seed, each pair runs
 checkouts back to back, each from its own directory and with its own
 `perfbench/`; the parent runs first in even pairs and the change in odd
 ones, so a drift of the machine during a session falls on both sides.
+After the pairs, each side makes one run with `--trace 1`, whose result
+line carries the per-layer split and work counts (matvecs, calls) of one
+traced pass; it is stored beside the summary and enters no statistic.
 Numbers from different sessions do not compare, so a claim is a ratio
 against a parent measured in the same session.
 
@@ -54,9 +57,9 @@ def result_line(stdout: str) -> dict | None:
     return None
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     try:
         done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
                               timeout=TIMEOUT_S)
@@ -181,11 +184,15 @@ def main(argv=None) -> int:
                     runs.append({"pair": pair, "side": side, "runs_first": position == 0, **run})
                     print(f"{workload} seed {seed} pair {pair} {side}: "
                           f"{'no result' if run['result'] is None else 'done'}", file=sys.stderr)
+            traced = {side: run_once(checkouts[side], workload, seed, args.seconds, trace=1)
+                      for side in SIDES}
             entries.append({"workload": workload, "seed": seed, "pairs": args.pairs,
-                            **summarize(runs, metrics), "runs": runs})
+                            **summarize(runs, metrics), "runs": runs, "traced": traced})
     report = {
         "command": "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {args.seconds} --trace 0",
+        "traced_command": "python3 perfbench/run.py --workload W --seed S "
+                          f"--seconds {args.seconds} --trace 1",
         "method": "pairs alternate which side runs first; wins count pairs where the change "
                   "reads better by the metric's `better`, ties count for neither",
         "machine": machine(),
