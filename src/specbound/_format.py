@@ -11,8 +11,6 @@ import math
 
 import numpy as np
 
-__all__ = ["csv_text", "format_cell", "format_float", "to_json"]
-
 
 def format_float(x) -> str:
     """Fixed 12-significant-digit rendering; empty string for None."""

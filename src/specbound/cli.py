@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from ._format import csv_text, format_float, to_json
-from .convergence import ConvergenceStudy, refine
+from .convergence import refine
 from .eigensolve import DEFAULT_TOL, SolverConvergenceError
 from .geometry import (
     Box,
@@ -31,8 +31,6 @@ from .geometry import (
     domain_from_spec,
 )
 from .uncertainty import certify_bounds, first_zero
-
-__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
@@ -86,40 +84,29 @@ def _message_stream(out_path: str | None):
     return sys.stdout if out_path is not None else sys.stderr
 
 
-def _warn_mask_hypothesis(domain: Domain, stream):
+def _study(args):
+    """The start of lambda1 and certify: the refinement study of --domain,
+    and the stream for messages."""
+    _check_pipeline_flags(args)
+    domain = _load_domain(args.domain)
+    stream = _message_stream(args.out)
     if isinstance(domain, RasterMask) and domain.has_holes():
         print(
             "note: mask has interior holes (multiply connected); the sharp "
             "constants still bound it but equality cases do not apply",
             file=stream,
         )
+    return refine(domain, args.h_start, args.levels, args.tol), stream
 
 
-def _study_json(domain: Domain, args, study: ConvergenceStudy) -> dict:
-    return {
-        "domain": domain.to_spec(),
-        "h_start": args.h_start,
-        "levels": args.levels,
-        "tol": args.tol,
-        "spacings": list(study.spacings),
-        "lambda1_values": list(study.lambda1_values),
-        "observed_order": study.observed_order,
-        "lambda1": study.extrapolated,
-        "lambda1_error": study.error_estimate,
-        "monotone": study.monotone,
-    }
+def _write_report(artifact, args):
+    # a study or an uncertainty report lays out its own artifact
+    _write_artifact(artifact.to_csv() if args.format == "csv" else artifact.to_json(), args.out)
 
 
 def _cmd_lambda1(args) -> int:
-    _check_pipeline_flags(args)
-    domain = _load_domain(args.domain)
-    stream = _message_stream(args.out)
-    _warn_mask_hypothesis(domain, stream)
-    study = refine(domain, args.h_start, args.levels, args.tol)
-    if args.format == "csv":
-        _write_artifact(study.to_csv(), args.out)
-    else:
-        _write_artifact(to_json(_study_json(domain, args, study)) + "\n", args.out)
+    study, stream = _study(args)
+    _write_report(study, args)
     if not study.monotone:
         print("note: lambda1 sequence is not monotone across levels", file=stream)
     print(
@@ -132,15 +119,9 @@ def _cmd_lambda1(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    _check_pipeline_flags(args)
-    domain = _load_domain(args.domain)
-    stream = _message_stream(args.out)
-    _warn_mask_hypothesis(domain, stream)
-    report = certify_bounds(refine(domain, args.h_start, args.levels, args.tol), args.hbar)
-    if args.format == "csv":
-        _write_artifact(report.to_csv(), args.out)
-    else:
-        _write_artifact(report.to_json(), args.out)
+    study, stream = _study(args)
+    report = certify_bounds(study, args.hbar)
+    _write_report(report, args)
     for c in report.checks():
         status = "PASS" if c.passed else "FAIL"
         flag = " [equality]" if c.equality else ""

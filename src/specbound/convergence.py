@@ -23,17 +23,17 @@ from .discretize import (
 )
 from .eigensolve import DEFAULT_TOL, Spectrum, _add_level, smallest_eigenpairs
 from .geometry import Domain
-from ._format import csv_text
-
-__all__ = ["ConvergenceStudy", "refine"]
+from ._format import csv_text, to_json
 
 _ORDER_RANGE = (0.05, 10.0)  # clamp for fits degraded by pre-asymptotic noise
 
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
-    """lambda1 against spacing, with fitted order and extrapolated limit."""
+    """lambda1 against spacing, with fitted order and extrapolated limit, at
+    the solver tolerance `tol`."""
 
+    tol: float
     spacings: np.ndarray
     lambda1_values: np.ndarray
     observed_order: float
@@ -44,6 +44,21 @@ class ConvergenceStudy:
     finest_grid: Grid = field(repr=False)
     finest_matrix: OperatorMatrix = field(repr=False)
     finest_spectrum: Spectrum = field(repr=False)
+
+    def to_json(self) -> str:
+        """The study as the `lambda1` subcommand's JSON artifact."""
+        return to_json({
+            "domain": self.finest_grid.domain.to_spec(),
+            "h_start": self.spacings[0],
+            "levels": len(self.spacings),
+            "tol": self.tol,
+            "spacings": list(self.spacings),
+            "lambda1_values": list(self.lambda1_values),
+            "observed_order": self.observed_order,
+            "lambda1": self.extrapolated,
+            "lambda1_error": self.error_estimate,
+            "monotone": self.monotone,
+        }) + "\n"
 
     def to_csv(self) -> str:
         """Rows (h, lambda1, diff, extrapolant); diff and extrapolant are
@@ -119,6 +134,7 @@ def refine(
 
     # grid, matrix and spectrum still hold the finest level
     return ConvergenceStudy(
+        tol=tol,
         spacings=hs,
         lambda1_values=lams,
         observed_order=order,

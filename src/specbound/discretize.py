@@ -33,8 +33,6 @@ import scipy.sparse as sparse
 
 from .geometry import Domain
 
-__all__ = ["Grid", "GridError", "OperatorMatrix", "build_grid", "assemble"]
-
 
 class GridError(ValueError):
     """Raised when a grid cannot be built from the given spacing."""
@@ -68,11 +66,6 @@ class Grid:
     def point_count(self) -> int:
         return int(self.interior_flat.shape[0])
 
-    def points(self) -> np.ndarray:
-        """Coordinates of the interior points, shape (N, dim)."""
-        multi = np.array(np.unravel_index(self.interior_flat, self.shape)).T
-        return self.origin + (multi + self.start) * self.spacing
-
 
 @dataclass(frozen=True)
 class OperatorMatrix:
@@ -85,6 +78,19 @@ class OperatorMatrix:
 # the transfers allocate; it also keeps the stencil's (2*dim+1)*N entries
 # below 2**31, so assemble's indices are int32
 _POINT_CAP = 20_000_000
+
+
+def _check_window(domain: Domain, h: float, window):
+    """Raise GridError unless `window` is one non-empty range of step 1 per
+    axis of `domain`, over at most `_POINT_CAP` lattice points at spacing h."""
+    if len(window) != domain.dim or not all(
+        isinstance(r, range) and r.step == 1 and r.stop > r.start for r in window
+    ):
+        raise GridError(f"window {window} is not one non-empty range of step 1 per axis")
+    # stop - start, since len() raises OverflowError past a C ssize_t
+    lattice = math.prod(r.stop - r.start for r in window)
+    if lattice > _POINT_CAP:
+        raise GridError(f"level h={h} has {lattice} lattice points, above the cap {_POINT_CAP}")
 
 
 def _nested_windows(domain: Domain, h_start: float):
@@ -116,10 +122,7 @@ def _nested_windows(domain: Domain, h_start: float):
     window = tuple(range(int(f), int(l) + 1) for f, l in zip(first, last))
     for level in itertools.count():
         h = h_start * 0.5**level
-        # stop - start, since len() raises OverflowError past a C ssize_t
-        lattice = math.prod(w.stop - w.start for w in window)
-        if lattice > _POINT_CAP:
-            raise GridError(f"level h={h} has {lattice} lattice points, above the cap {_POINT_CAP}")
+        _check_window(domain, h, window)
         yield h, window
         window = tuple(range(2 * w.start, 2 * w.stop - 1) for w in window)
 
@@ -190,16 +193,18 @@ def build_grid(domain: Domain, h: float, window: tuple | None = None) -> Grid:
     """Lay a lattice of spacing h from the bounding-box corner and keep the
     points of `window` strictly inside the domain.
 
-    `window` holds one range of lattice indices per axis, as refine takes
-    it from `_nested_windows`, and must hold the domain's extent; by default
-    it is the window over the extent alone.  Raises GridError when h is
-    nonpositive, too coarse relative to the bounding box, so small that the
-    lattice size overflows, when the default window would exceed 20,000,000
-    lattice points, when an interior point lies on a face of the window
-    (which then does not hold the extent), or when no point is interior.
+    `window` holds one non-empty range of lattice indices of step 1 per
+    axis, as refine takes it from `_nested_windows`, and must hold the
+    domain's extent; by default it is the window over the extent alone.
+    Raises GridError when h is nonpositive, too coarse relative to the
+    bounding box, so small that the lattice size overflows, when the window
+    is not such ranges or exceeds 20,000,000 lattice points, when an
+    interior point lies on a face of the window (which then does not hold
+    the extent), or when no point is interior.
     """
     if window is None:
         window = next(_nested_windows(domain, h))[1]
+    _check_window(domain, h, window)
     origin = domain.bounding_box[:, 0].copy()
     axes = [origin[a] + np.arange(r.start, r.stop) * h for a, r in enumerate(window)]
     inside = domain.lattice_membership(axes)

@@ -27,13 +27,6 @@ import numpy as np
 
 from .discretize import Grid, OperatorMatrix, _prolong, _restrict
 
-__all__ = [
-    "Spectrum",
-    "SolverConvergenceError",
-    "WaveField",
-    "smallest_eigenpairs",
-]
-
 DEFAULT_TOL = 1e-10
 _DROPPED = 1e-12  # Gram eigenvalue share below which a direction is roundoff
 _IDLE = 64  # fewest iterations without progress that can end a solve

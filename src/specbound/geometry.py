@@ -35,20 +35,6 @@ from itertools import chain
 
 import numpy as np
 
-__all__ = [
-    "Ball",
-    "Box",
-    "Domain",
-    "DomainError",
-    "DomainMetrics",
-    "Ellipse",
-    "Interval",
-    "Polygon",
-    "RasterMask",
-    "domain_from_spec",
-    "unit_ball_volume",
-]
-
 _BAND = 1e-12  # relative width of the band of points counted as outside
 _CHUNK = 512  # rows of points per block of pairwise differences
 

@@ -34,16 +34,6 @@ from .eigensolve import WaveField
 from .eigensolve import smallest_eigenpairs  # noqa: F401
 from .geometry import DomainMetrics, unit_ball_volume
 
-__all__ = [
-    "BoundCheck",
-    "UncertaintyReport",
-    "certify_bounds",
-    "first_zero",
-    "krahn_ratio",
-    "momentum_stddev",
-    "position_stddev",
-]
-
 # j_{n/2-1,1}, the first positive zero of J_{n/2-1}, for n = 1, 2, 3,
 # correctly rounded; the tests check them against scipy.special
 _FIRST_ZEROS = {-0.5: math.pi / 2, 0.0: 2.404825557695773, 0.5: math.pi}
@@ -94,8 +84,9 @@ def momentum_stddev(matrix: OperatorMatrix, field: WaveField, hbar: float = 1.0)
 def position_stddev(field: WaveField) -> float:
     """Total position spread sqrt(sum_i h^n psi_i^2 ||x_i - mean||^2).
 
-    The coordinates are those of `Grid.points`, formed one axis at a time
-    in two buffers of N entries rather than as an (N, dim) array."""
+    A point's coordinate on an axis is origin + (start + window index) * h,
+    formed one axis at a time in two buffers of N entries rather than as
+    an (N, dim) array."""
     _require_normalized(field)
     grid = field.grid
     prob = field.weight * field.values**2

@@ -33,6 +33,13 @@ def lattice_points(axes):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def grid_points(grid):
+    """Coordinates of the interior points of `grid`, shape (N, dim), from
+    their window multi-indices: the coordinate oracle of the tests."""
+    multi = np.array(np.unravel_index(grid.interior_flat, grid.shape)).T
+    return grid.origin + (multi + grid.start) * grid.spacing
+
+
 def full_frame_grid(domain, h, h_start=None):
     """The grid whose window is the whole bounding-box lattice of a study
     started at h_start (by default h), its interior found by testing every

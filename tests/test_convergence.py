@@ -192,6 +192,36 @@ class TestStudyShape:
         last = lines[-1].split(",")
         assert float(last[3]) == pytest.approx(study.extrapolated)
 
+    # the bytes of `specbound lambda1 --levels 3 --format json`, captured
+    # before the study laid out its own JSON
+    @pytest.mark.parametrize(
+        "domain, text",
+        [
+            (
+                Interval(0.0, 1.0),
+                '{"domain": {"kind": "interval", "dim": 1, "params": {"a": 0, "b": 1}}, '
+                '"h_start": 0.125, "levels": 3, "tol": 1e-10, '
+                '"spacings": [0.125, 0.0625, 0.03125], '
+                '"lambda1_values": [9.74341983856, 9.83793643355, 9.86167977534], '
+                '"observed_order": 1.99304465271, "lambda1": 9.86964530263, '
+                '"lambda1_error": 0.00796552728785, "monotone": true}\n',
+            ),
+            (
+                RasterMask([[1, 1], [1, 0]], 0.5),
+                '{"domain": {"kind": "raster-mask", "dim": 2, "params": '
+                '{"mask": [[1, 1], [1, 0]], "cell_size": 0.5, "origin": [0, 0]}}, '
+                '"h_start": 0.125, "levels": 3, "tol": 1e-10, '
+                '"spacings": [0.125, 0.0625, 0.03125], '
+                '"lambda1_values": [38.5657018438, 38.7726488542, 38.6940259041], '
+                '"observed_order": 1.39623900497, "lambda1": 38.6458543589, '
+                '"lambda1_error": 0.253588990571, "monotone": false}\n',
+            ),
+        ],
+        ids=["interval", "mask"],
+    )
+    def test_json_layout(self, domain, text):
+        assert refine(domain, 0.125, 3).to_json() == text
+
     def test_deterministic_repeat(self):
         for domain in (Interval(0.0, 1.0), Ball([0.0, 0.0], 1.0)):
             a = refine(domain, 1.0 / 8, 3)

@@ -18,7 +18,7 @@ from specbound import (
 )
 from specbound.discretize import _nested_windows, _prolong, _restrict
 
-from conftest import L_VERTICES, WINDOW_CASES, full_frame_grid, lattice_pairs
+from conftest import L_VERTICES, WINDOW_CASES, full_frame_grid, grid_points, lattice_pairs
 
 # (domain, coarse spacing); the 3-ball's 0.3 divides no box edge, so its
 # windows end on points past the box
@@ -40,7 +40,7 @@ class TestBuildGrid:
     def test_interval_interior_points(self, unit_interval):
         grid = build_grid(unit_interval, 0.25)
         assert grid.point_count == 3
-        assert grid.points()[:, 0].tolist() == [0.25, 0.5, 0.75]
+        assert grid_points(grid)[:, 0].tolist() == [0.25, 0.5, 0.75]
 
     def test_unit_square_two_by_two(self, unit_square):
         grid = build_grid(unit_square, 1.0 / 3.0)
@@ -62,12 +62,12 @@ class TestBuildGrid:
     def test_lattice_anchored_at_bounding_box_corner(self, unit_disk):
         grid = build_grid(unit_disk, 0.5)
         assert grid.origin.tolist() == [-1.0, -1.0]
-        pts = grid.points()
+        pts = grid_points(grid)
         assert [0.0, 0.0] in pts.tolist()
 
     def test_every_grid_point_is_inside(self, l_polygon):
         grid = build_grid(l_polygon, 0.125)
-        assert bool(np.all(l_polygon.membership(grid.points())))
+        assert bool(np.all(l_polygon.membership(grid_points(grid))))
 
     def test_indices_are_bijective(self, unit_disk):
         # point i is the i-th interior point in lattice order, the numbering
@@ -132,6 +132,25 @@ class TestBuildGrid:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_caller_window_over_the_cap_rejected(self, unit_interval):
+        # the cap holds for a window that the caller passes, not only for
+        # the default one
+        with pytest.raises(GridError, match="20000001 lattice points, above the cap 20000000"):
+            build_grid(unit_interval, 0.1, (range(0, 20_000_001),))
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            (range(0, 0), range(0, 5)),
+            (range(0, 22, 2), range(0, 22)),
+            (range(0, 22),) * 3,
+        ],
+        ids=["empty", "step-2", "three-axes"],
+    )
+    def test_malformed_window_rejected(self, unit_disk, window):
+        with pytest.raises(GridError, match="not one non-empty range of step 1 per axis"):
+            build_grid(unit_disk, 0.1, window)
 
     def test_too_coarse_spacing_rejected(self, unit_interval):
         with pytest.raises(GridError):
@@ -379,7 +398,7 @@ class TestWindows:
             # the same interior points in the same order, at the same bits
             flat = np.ravel_multi_index(tuple(lattice_index.T), full.shape)
             assert np.array_equal(flat, full.interior_flat)
-            assert grid.points().tobytes() == full.points().tobytes()
+            assert grid_points(grid).tobytes() == grid_points(full).tobytes()
             # no interior point on a window face
             assert np.all(local.min(axis=0) > 0)
             assert np.all(local.max(axis=0) < np.array(grid.shape) - 1)

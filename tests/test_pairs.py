@@ -1,6 +1,7 @@
 """`tools/pairs.py`: the alternating-pairs benchmark protocol and its summary."""
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -124,6 +125,7 @@ def test_main_alternates_sides_and_keeps_failed_runs(pairs, tmp_path):
     assert pairs.main(argv) == 0
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["machine"]["nproc"] >= 1
+    assert report["commits"] == {"parent": None, "change": None}
     (entry,) = report["workloads"]
     order = [(r["pair"], r["side"], r["runs_first"]) for r in entry["runs"]]
     assert order == [
@@ -143,3 +145,20 @@ def test_main_alternates_sides_and_keeps_failed_runs(pairs, tmp_path):
         traced = entry["traced"][side]["result"]
         assert traced["metrics"]["eigensolve.matvecs"]["value"] == matvecs
     assert report["traced_command"].endswith("--trace 1")
+
+
+def test_commit_is_the_checked_out_head_or_none(pairs, tmp_path):
+    repo, plain = tmp_path / "repo", tmp_path / "plain"
+    plain.mkdir()
+    git = ["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+           "-c", "commit.gpgsign=false"]
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    (repo / "run.py").write_text("print()\n", encoding="utf-8")
+    subprocess.run(git + ["add", "run.py"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "one"], check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True, text=True)
+    assert pairs.commit(repo) == head.stdout.strip()
+    assert pairs.commit(plain) is None
+    # a directory inside a work tree is not a checkout of it
+    (repo / "sub").mkdir()
+    assert pairs.commit(repo / "sub") is None

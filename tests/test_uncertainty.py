@@ -22,7 +22,7 @@ from specbound import (
     smallest_eigenpairs,
 )
 
-from conftest import L_VERTICES, normalized, rayleigh_quotient
+from conftest import L_VERTICES, grid_points, normalized, rayleigh_quotient
 
 J01 = 2.404825557695773
 
@@ -110,13 +110,13 @@ class TestPositionStddev:
         ids=["disk", "ball3", "L-shape", "mask"],
     )
     def test_matches_the_point_array_form(self, domain, h):
-        # the oracle forms every coordinate at once with Grid.points; the
+        # the oracle forms every coordinate at once with grid_points; the
         # mask's window starts away from the lattice's index 0
         grid = build_grid(domain, h)
         rng = np.random.default_rng(5)
         field = normalized(WaveField(rng.random(grid.point_count) + 0.1, grid))
         prob = field.weight * field.values**2
-        points = grid.points()
+        points = grid_points(grid)
         spread = math.sqrt(float(prob @ np.sum((points - prob @ points) ** 2, axis=1)))
         assert position_stddev(field) == pytest.approx(spread, rel=1e-14)
 

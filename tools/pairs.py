@@ -15,17 +15,18 @@ traced pass; it is stored beside the summary and enters no statistic.
 Numbers from different sessions do not compare, so a claim is a ratio
 against a parent measured in the same session.
 
-The output keeps every result line (the JSON line `run.py` prints last),
-`failed`/`attempted` per side, and per end-to-end metric of
-`BENCHMARK.json`: each side's median and quartiles, the pairs each side
-won by that metric's `better` (ties count for neither), the gap between
-the medians, positive when the change is better, the parent's
-interquartile range, the change's median over the parent's, and `gain`,
-which holds when the change won at least 9 in 10 of all pairs run, the
-median gap exceeds the parent's interquartile range and no larger share of
-the change's operations failed.  A run that exits non-zero or
-prints no result line within 300 s is kept with its exit code and stderr
-tail, and counts as a run with no metrics.
+The output records the machine and the commit of each side (`git rev-parse
+HEAD`, or null for a checkout that is not a git work tree), and keeps every
+result line (the JSON line `run.py` prints last), `failed`/`attempted` per
+side, and per end-to-end metric of `BENCHMARK.json`: each side's median and
+quartiles, the pairs each side won by that metric's `better` (ties count
+for neither), the gap between the medians, positive when the change is
+better, the parent's interquartile range, the change's median over the
+parent's, and `gain`, which holds when the change won at least 9 in 10 of
+all pairs run, the median gap exceeds the parent's interquartile range and
+no larger share of the change's operations failed. A run that exits
+non-zero or prints no result line within 300 s is kept with its exit code
+and stderr tail, and counts as a run with no metrics.
 """
 
 from __future__ import annotations
@@ -156,6 +157,20 @@ def machine() -> dict:
     }
 
 
+def commit(checkout: Path) -> str | None:
+    """The commit checked out at `checkout` (`git rev-parse HEAD`), or None
+    when `checkout` is not the top of a git work tree."""
+    try:
+        done = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=checkout,
+                              capture_output=True, text=True)
+    except OSError:
+        return None
+    lines = done.stdout.split()
+    if done.returncode != 0 or len(lines) != 2 or Path(lines[0]).resolve() != checkout.resolve():
+        return None
+    return lines[1]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -196,6 +211,7 @@ def main(argv=None) -> int:
         "method": "pairs alternate which side runs first; wins count pairs where the change "
                   "reads better by the metric's `better`, ties count for neither",
         "machine": machine(),
+        "commits": {side: commit(path) for side, path in checkouts.items()},
         "workloads": entries,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")

@@ -16,7 +16,7 @@ depend on where OUTDIR or the checkout lives.
 To check that a change leaves every artifact as it was, run the script from
 the parent commit's checkout and from the changed one into two directories
 and compare them with `diff -r`; it prints nothing when they agree.  A run
-takes about 30 s on a 2-core machine.
+takes about 8 s on a 2-core machine.
 
 A change that may move the last digits of a result, such as a different
 solver path, is checked with `--compare A B` instead.  It requires the same
@@ -169,8 +169,8 @@ def _spec(name: str) -> str:
 
 def cases() -> list:
     """(name, argv, out file or None) for every captured run."""
-    # the 3-ball takes 17 s at the default four levels, so only one of its
-    # runs uses them
+    # the 3-ball at the default four levels is the slowest case, about 3 s
+    # of a run, so only one of its runs uses them
     runs = [("certify-ball3-defaults", ["certify", "--domain", _spec("ball3")], None)]
     for name in ("interval", "box", "ball3", "ellipse", "polygon", "mask", "disk"):
         levels = ["--levels", "3"] if name == "ball3" else []
