@@ -33,11 +33,15 @@ def lattice_points(axes):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def lattice_indices(grid):
+    """Lattice multi-indices of the interior points, shape (N, dim)."""
+    return np.array(np.unravel_index(grid.interior_flat, grid.shape)).T
+
+
 def grid_points(grid):
     """Coordinates of the interior points of `grid`, shape (N, dim), from
     their window multi-indices: the coordinate oracle of the tests."""
-    multi = np.array(np.unravel_index(grid.interior_flat, grid.shape)).T
-    return grid.origin + (multi + grid.start) * grid.spacing
+    return grid.origin + (lattice_indices(grid) + grid.start) * grid.spacing
 
 
 def full_frame_grid(domain, h, h_start=None):
@@ -76,7 +80,7 @@ def lattice_pairs(grid, axis, step=1):
     dropped.  The shift is done on lattice multi-indices and the target is
     numbered through a map of its own, so no library walk is involved."""
     number = {int(flat): i for i, flat in enumerate(grid.interior_flat)}
-    multi = np.array(np.unravel_index(grid.interior_flat, grid.shape)).T
+    multi = lattice_indices(grid)
     multi[:, axis] += step
     on_lattice = (multi[:, axis] >= 0) & (multi[:, axis] < grid.shape[axis])
     target = np.full(grid.point_count, -1)

@@ -18,7 +18,14 @@ from specbound import (
 )
 from specbound.discretize import _nested_windows, _prolong, _restrict
 
-from conftest import L_VERTICES, WINDOW_CASES, full_frame_grid, grid_points, lattice_pairs
+from conftest import (
+    L_VERTICES,
+    WINDOW_CASES,
+    full_frame_grid,
+    grid_points,
+    lattice_indices,
+    lattice_pairs,
+)
 
 # (domain, coarse spacing); the 3-ball's 0.3 divides no box edge, so its
 # windows end on points past the box
@@ -302,11 +309,6 @@ class TestAssemble:
         matrix = assemble(grid)
         diag = matrix.matrix.diagonal()
         assert np.all(diag == 2.0 * 3 / 0.25**2)
-
-
-def lattice_indices(grid):
-    """Lattice multi-indices of the interior points, shape (N, dim)."""
-    return np.array(np.unravel_index(grid.interior_flat, grid.shape)).T
 
 
 class TestProlong:
