@@ -83,23 +83,23 @@ def refine(
     interpolated onto its lattice (nested iteration).  The levels form the
     multigrid hierarchy that preconditions each solve (see `eigensolve`).
 
-    Each level keeps a window of its bounding-box lattice that holds the
-    domain's extent, nested in the next (see `_nested_windows`): for a
-    raster mask the box of its occupied cells, for every other kind the
-    bounding-box lattice out to the first point at or past its far corner.
-    Raises GridError/SolverConvergenceError if a level cannot be built or
-    solved; `_nested_windows` raises GridError, a ValueError, when a
-    level's window would exceed 20,000,000 lattice points.  Every level is
-    checked before the first one is built, and the check stops at the first
-    oversized level.  A non-monotone lambda1 sequence is reported via the
-    study's `monotone` flag, not raised.
+    Level k is `build_grid(domain, h_start, k)`, a window of its
+    bounding-box lattice that holds the domain's extent, nested in the next
+    (see `_nested_windows`): for a raster mask the box of its occupied
+    cells, for every other kind the bounding-box lattice out to the first
+    point at or past its far corner.  Raises GridError or
+    SolverConvergenceError if a level cannot be built or solved, and
+    GridError, a ValueError, when a level's window would exceed 20,000,000
+    lattice points; every level is checked before the first one is built, up
+    to the first oversized one.  A non-monotone lambda1 sequence is reported
+    via the study's `monotone` flag, not raised.
     """
     if levels < 3:
         raise ValueError(f"need at least 3 refinement levels, got {levels}")
-    windows = list(itertools.islice(_nested_windows(domain, h_start), levels))
+    hs = np.array([h for h, _ in itertools.islice(_nested_windows(domain, h_start), levels)])
     lams, hierarchy, coarse = [], [], None
-    for h, window in windows:
-        grid = build_grid(domain, h, window)
+    for level in range(levels):
+        grid = build_grid(domain, h_start, level)
         matrix = assemble(grid)
         precondition = _add_level(hierarchy, grid, matrix)
         # the level's memory peak is the eigensolve (cube at h = 1/64, traced:
@@ -110,7 +110,6 @@ def refine(
         lams.append(float(spectrum.eigenvalues[0]))
         coarse = grid
     lams = np.array(lams)
-    hs = np.array([h for h, _ in windows])
 
     diffs = np.diff(lams)
     usable = np.abs(diffs) > 0

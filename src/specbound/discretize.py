@@ -6,15 +6,16 @@ omitted neighbors contribute nothing to the stencil, which imposes the
 homogeneous Dirichlet condition.  A grid keeps only a window of the
 lattice, a box of lattice indices that holds the domain's extent and ends
 on exterior points, and all lattice work is done on the window: the
-membership test, `assemble`'s index and the V-cycle transfers.  Over a
-refinement the windows are nested, each starting at twice the index of the
-one before and ending on the same exterior points, so a point and its
-neighbors are those of the whole lattice and every result is the same bit
-for bit.  `assemble` finds the neighbors of the interior points by one
-gather per stencil slot, at a fixed offset in the flat window index,
-through an inverse index over the window that it builds and frees itself;
-since no interior point lies on a window face, every offset stays inside
-the window.
+membership test, `assemble`'s index and the V-cycle transfers.  A grid is
+addressed by the spacing a study starts at and its refinement level, and
+`_nested_windows` alone decides each level's window.  Over a refinement
+the windows are nested, each starting at twice the index of the one before
+and ending on the same exterior points, so a point and its neighbors are
+those of the whole lattice and every result is the same bit for bit.
+`assemble` finds the neighbors of the interior points by one gather per
+stencil slot, at a fixed offset in the flat window index, through an
+inverse index over the window that it builds and frees itself; no interior
+point lies on a window face, so no offset leaves the window.
 
 Interior points are numbered in row-major lattice order, so `assemble`
 writes each stencil row straight into CSR in ascending column order: the
@@ -80,19 +81,6 @@ class OperatorMatrix:
 _POINT_CAP = 20_000_000
 
 
-def _check_window(domain: Domain, h: float, window):
-    """Raise GridError unless `window` is one non-empty range of step 1 per
-    axis of `domain`, over at most `_POINT_CAP` lattice points at spacing h."""
-    if len(window) != domain.dim or not all(
-        isinstance(r, range) and r.step == 1 and r.stop > r.start for r in window
-    ):
-        raise GridError(f"window {window} is not one non-empty range of step 1 per axis")
-    # stop - start, since len() raises OverflowError past a C ssize_t
-    lattice = math.prod(r.stop - r.start for r in window)
-    if lattice > _POINT_CAP:
-        raise GridError(f"level h={h} has {lattice} lattice points, above the cap {_POINT_CAP}")
-
-
 def _nested_windows(domain: Domain, h_start: float):
     """Yield (h, window) for h = h_start, h_start/2, ...: the window kept of
     each level's lattice, one range of lattice indices per axis.
@@ -122,7 +110,10 @@ def _nested_windows(domain: Domain, h_start: float):
     window = tuple(range(int(f), int(l) + 1) for f, l in zip(first, last))
     for level in itertools.count():
         h = h_start * 0.5**level
-        _check_window(domain, h, window)
+        # stop - start, since len() raises OverflowError past a C ssize_t
+        lattice = math.prod(r.stop - r.start for r in window)
+        if lattice > _POINT_CAP:
+            raise GridError(f"level h={h} has {lattice} lattice points, above the cap {_POINT_CAP}")
         yield h, window
         window = tuple(range(2 * w.start, 2 * w.stop - 1) for w in window)
 
@@ -189,28 +180,23 @@ def _restrict(fine: Grid, values: np.ndarray, coarse: Grid) -> np.ndarray:
     return _transfer(_interpolate_transpose, fine, values, coarse)
 
 
-def build_grid(domain: Domain, h: float, window: tuple | None = None) -> Grid:
-    """Lay a lattice of spacing h from the bounding-box corner and keep the
-    points of `window` strictly inside the domain.
+def build_grid(domain: Domain, h_start: float, level: int = 0) -> Grid:
+    """Lay the lattice of refinement level `level` of a study started at
+    h_start, spacing h_start * 2**-level from the bounding-box corner, and
+    keep the points of that level's window strictly inside the domain.
 
-    `window` holds one non-empty range of lattice indices of step 1 per
-    axis, as refine takes it from `_nested_windows`, and must hold the
-    domain's extent; by default it is the window over the extent alone.
-    Raises GridError when h is nonpositive, too coarse relative to the
-    bounding box, so small that the lattice size overflows, when the window
-    is not such ranges or exceeds 20,000,000 lattice points, when an
-    interior point lies on a face of the window (which then does not hold
-    the extent), or when no point is interior.
+    The window is the `level`-th one that `_nested_windows` yields, so
+    `build_grid(domain, h_start, k)` is level k of `refine(domain,
+    h_start, ...)`, and level 0 is the window over the domain's extent.
+    Raises GridError when h_start is not positive, too coarse relative to
+    the bounding box, or so small that the lattice size overflows, when the
+    window of any level up to `level` exceeds 20,000,000 lattice points, or
+    when no point is interior.
     """
-    if window is None:
-        window = next(_nested_windows(domain, h))[1]
-    _check_window(domain, h, window)
+    h, window = next(itertools.islice(_nested_windows(domain, h_start), level, None))
     origin = domain.bounding_box[:, 0].copy()
     axes = [origin[a] + np.arange(r.start, r.stop) * h for a, r in enumerate(window)]
     inside = domain.lattice_membership(axes)
-    # assemble's stencil and the transfers take every face point as exterior
-    if any(inside.take(end, axis).any() for axis in range(inside.ndim) for end in (0, -1)):
-        raise GridError(f"an interior point lies on a face of the window {window}")
     interior_flat = np.flatnonzero(inside)
     if interior_flat.shape[0] == 0:
         raise GridError(f"no interior lattice point at spacing {h}; refine h")
@@ -232,25 +218,24 @@ def assemble(grid: Grid) -> OperatorMatrix:
     """
     n, dim = grid.point_count, grid.dim
     h2 = grid.spacing * grid.spacing
-    index = np.int32 if (2 * dim + 1) * n < 2**31 else np.int64  # scipy's choice
     flat, shape = grid.interior_flat, grid.shape
     # the interior numbering of every window point, -1 where omitted
-    number = np.full(math.prod(shape), -1, dtype=index)
+    number = np.full(math.prod(shape), -1, dtype=np.int32)
     number[flat] = np.arange(n)
     # one row per point in ascending column order (module docstring), one
     # gather per stencil slot; -1 marks an omitted neighbor.  No interior
     # point is on a window face, so every neighbor is in the window
     strides = [math.prod(shape[axis + 1:]) for axis in range(dim)]
-    cols = np.empty((n, 2 * dim + 1), dtype=index)
+    cols = np.empty((n, 2 * dim + 1), dtype=np.int32)
     for k, offset in enumerate([-s for s in strides] + [0] + strides[::-1]):
         cols[:, k] = number[flat + offset]
     # not held through the allocations below, where the peak is
     del number
     present = cols >= 0
     indices = cols[present]
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(present.sum(axis=1, dtype=index), out=indptr[1:])
-    diagonal = indptr[:-1] + present[:, :dim].sum(axis=1, dtype=index)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1, dtype=np.int32), out=indptr[1:])
+    diagonal = indptr[:-1] + present[:, :dim].sum(axis=1, dtype=np.int32)
     del cols, present
     data = np.full(indices.shape[0], -1.0 / h2)
     data[diagonal] = 2.0 * dim / h2

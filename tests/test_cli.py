@@ -231,8 +231,8 @@ class TestCertify:
         # are past what a C ssize_t counts
         from specbound import convergence
 
-        def forbidden(domain, h):
-            raise AssertionError(f"build_grid called at h={h}")
+        def forbidden(*args):
+            raise AssertionError(f"build_grid called at {args[1:]}")
 
         monkeypatch.setattr(convergence, "build_grid", forbidden)
         code, out, err = run(capsys, *argv)

@@ -27,8 +27,8 @@ from test_discretize import interval_eigenvalues
 def no_grid(monkeypatch):
     """Make building any level fail the test."""
 
-    def forbidden(domain, h):
-        raise AssertionError(f"build_grid called at h={h}")
+    def forbidden(*args):
+        raise AssertionError(f"build_grid called at {args[1:]}")
 
     monkeypatch.setattr(convergence, "build_grid", forbidden)
 
@@ -266,8 +266,21 @@ def test_windowed_study_equals_full_frame(name, monkeypatch):
     # the windows change what is allocated, never a bit of the answer
     domain, h_start = WINDOW_CASES[name]
     study = refine(domain, h_start, 3)
-    monkeypatch.setattr(convergence, "build_grid", lambda domain, h, window: full_frame_grid(domain, h, h_start))
+    monkeypatch.setattr(
+        convergence, "build_grid",
+        lambda domain, h_start, level: full_frame_grid(domain, h_start * 0.5**level, h_start),
+    )
     reference = refine(domain, h_start, 3)
     assert study.lambda1_values.tobytes() == reference.lambda1_values.tobytes()
     assert study.finest_spectrum.eigenvectors.tobytes() == reference.finest_spectrum.eigenvectors.tobytes()
     assert math.prod(study.finest_grid.shape) < math.prod(reference.finest_grid.shape)
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_CASES) + ["disk"])
+def test_build_grid_level_is_refine_level(name):
+    # build_grid(domain, h_start, k) is the grid of refine's level k
+    domain, h_start = WINDOW_CASES.get(name, (Ball([0.0, 0.0], 1.0), 1.0 / 16))
+    finest = refine(domain, h_start, 3).finest_grid
+    grid = build_grid(domain, h_start, 2)
+    assert (grid.start, grid.shape, grid.spacing) == (finest.start, finest.shape, finest.spacing)
+    assert grid.interior_flat.tobytes() == finest.interior_flat.tobytes()

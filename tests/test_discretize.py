@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 
@@ -16,7 +15,7 @@ from specbound import (
     assemble,
     build_grid,
 )
-from specbound.discretize import _nested_windows, _prolong, _restrict
+from specbound.discretize import _prolong, _restrict
 
 from conftest import (
     L_VERTICES,
@@ -117,11 +116,12 @@ class TestBuildGrid:
         own = sum(v.nbytes for v in vars(grid).values() if isinstance(v, np.ndarray))
         assert peak - own <= 16 * math.prod(grid.shape)
 
-    def test_nonpositive_spacing_rejected(self, unit_interval):
-        with pytest.raises(GridError):
-            build_grid(unit_interval, 0.0)
-        with pytest.raises(GridError):
-            build_grid(unit_interval, -0.1)
+    @pytest.mark.parametrize("level", [0, 2])
+    @pytest.mark.parametrize("h_start", [0.0, -0.1, math.nan], ids=["zero", "negative", "nan"])
+    def test_nonpositive_spacing_rejected(self, unit_interval, h_start, level):
+        # every level's spacing is checked, not only that of the first
+        with pytest.raises(GridError, match="spacing must be positive"):
+            build_grid(unit_interval, h_start, level)
 
     def test_underflowing_spacing_rejected(self, unit_interval):
         # 1 / 5e-324 is inf: no lattice size to predict or allocate
@@ -140,39 +140,9 @@ class TestBuildGrid:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_caller_window_over_the_cap_rejected(self, unit_interval):
-        # the cap holds for a window that the caller passes, not only for
-        # the default one
-        with pytest.raises(GridError, match="20000001 lattice points, above the cap 20000000"):
-            build_grid(unit_interval, 0.1, (range(0, 20_000_001),))
-
-    @pytest.mark.parametrize(
-        "window",
-        [
-            (range(0, 0), range(0, 5)),
-            (range(0, 22, 2), range(0, 22)),
-            (range(0, 22),) * 3,
-        ],
-        ids=["empty", "step-2", "three-axes"],
-    )
-    def test_malformed_window_rejected(self, unit_disk, window):
-        with pytest.raises(GridError, match="not one non-empty range of step 1 per axis"):
-            build_grid(unit_disk, 0.1, window)
-
     def test_too_coarse_spacing_rejected(self, unit_interval):
         with pytest.raises(GridError):
             build_grid(unit_interval, 0.5)
-
-    def test_window_with_an_interior_face_point_rejected(self, unit_square, unit_ball3):
-        # assemble's stencil takes every face point of the window as
-        # exterior, so a window that cuts the domain is refused
-        assert build_grid(unit_square, 0.25, (range(0, 5), range(0, 5))).point_count == 9
-        for domain, window in (
-            (unit_square, (range(0, 5), range(0, 4))),
-            (unit_ball3, (range(1, 9), range(0, 9), range(0, 9))),
-        ):
-            with pytest.raises(GridError, match="face"):
-                build_grid(domain, 0.25, window)
 
     def test_empty_grid_rejected(self):
         # single occupied cell in a 4x4 mask: bounding box [0,1]^2 but no
@@ -393,8 +363,9 @@ class TestWindows:
     def test_nested_windows_keep_the_full_frame_interior(self, name):
         domain, h_start = WINDOW_CASES[name]
         coarse, full_lattice, window_lattice = None, 0, 0
-        for h, window in itertools.islice(_nested_windows(domain, h_start), 3):
-            grid, full = build_grid(domain, h, window), full_frame_grid(domain, h, h_start)
+        for level in range(3):
+            grid = build_grid(domain, h_start, level)
+            full = full_frame_grid(domain, grid.spacing, h_start)
             local = lattice_indices(grid)
             lattice_index = local + grid.start
             # the same interior points in the same order, at the same bits
@@ -414,8 +385,7 @@ class TestWindows:
     @pytest.mark.parametrize("name", sorted(WINDOW_CASES))
     def test_transfers_on_windows_equal_full_frame(self, name):
         domain, h = WINDOW_CASES[name]
-        (_, cw), (_, fw) = itertools.islice(_nested_windows(domain, h), 2)
-        coarse, fine = build_grid(domain, h, cw), build_grid(domain, h / 2, fw)
+        coarse, fine = build_grid(domain, h), build_grid(domain, h, 1)
         full_coarse, full_fine = full_frame_grid(domain, h), full_frame_grid(domain, h / 2, h)
         rng = np.random.default_rng(19)
         v = rng.standard_normal(coarse.point_count)
@@ -435,12 +405,11 @@ class TestWindows:
             _prolong(coarse, np.ones(coarse.point_count), fine)
         with pytest.raises(GridError, match="twice the coarse start"):
             _restrict(fine, np.ones(fine.point_count), coarse)
-        # a window one point past the coarse one's end starts right but
-        # does not end on its faces
-        disk = Ball([0.0, 0.0], 1.0)
-        coarse = build_grid(disk, 0.125)
-        fine = build_grid(disk, 0.0625, (range(0, 34), range(0, 34)))
-        assert (coarse.shape, fine.shape) == ((17, 17), (34, 34))
+        # built alone at h = 0.15, the unit square's window starts right
+        # but ends on the first point past 1, not on the coarse one's faces
+        square = Box([[0.0, 1.0]] * 2)
+        coarse, fine = build_grid(square, 0.3), build_grid(square, 0.15)
+        assert (coarse.shape, fine.shape) == ((5, 5), (8, 8))
         with pytest.raises(GridError, match="not 2n - 1"):
             _prolong(coarse, np.ones(coarse.point_count), fine)
         with pytest.raises(GridError, match="not 2n - 1"):

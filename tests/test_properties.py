@@ -2,7 +2,6 @@
 discrete lambda1, its invariance under translation, its monotonicity under
 inclusion, and the nesting of a refinement's lattice windows."""
 
-import itertools
 import json
 import math
 
@@ -24,7 +23,6 @@ from specbound import (  # noqa: E402
     domain_from_spec,
     smallest_eigenpairs,
 )
-from specbound.discretize import _nested_windows  # noqa: E402
 from specbound.eigensolve import DEFAULT_TOL  # noqa: E402
 
 from conftest import L_VERTICES, full_frame_grid  # noqa: E402
@@ -224,15 +222,15 @@ def test_nested_windows_end_on_exterior_points(study):
     # whole bounding-box lattice
     domain, h_start = study
     coarse = None
-    for h, window in itertools.islice(_nested_windows(domain, h_start), 3):
-        grid = build_grid(domain, h, window)
+    for level in range(3):
+        grid = build_grid(domain, h_start, level)
         local = np.array(np.unravel_index(grid.interior_flat, grid.shape)).T
         assert np.all(local.min(axis=0) > 0)
         assert np.all(local.max(axis=0) < np.array(grid.shape) - 1)
         if coarse is not None:
             assert grid.start == tuple(2 * s for s in coarse.start)
             assert grid.shape == tuple(2 * n - 1 for n in coarse.shape)
-        full = full_frame_grid(domain, h, h_start)
+        full = full_frame_grid(domain, grid.spacing, h_start)
         flat = np.ravel_multi_index(tuple((local + grid.start).T), full.shape)
         assert np.array_equal(flat, full.interior_flat)
         coarse = grid

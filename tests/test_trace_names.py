@@ -2,6 +2,8 @@
 (see perfbench/spans.py); a rename or deletion here must fail this test,
 not only the traced benchmark run."""
 
+import itertools
+import math
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -19,11 +21,14 @@ def test_tracer_installs_and_removes_cleanly(monkeypatch):
 
 def test_tracer_records_every_level_solve(monkeypatch, tmp_path):
     # the tracer binds each solve's arguments to the solver's signature to
-    # read `tol`; a signature it cannot bind must fail here too
+    # read `tol`; a signature it cannot bind must fail here too.  The
+    # per-layer discretize split needs one traced build per level, each
+    # the size of that level's window
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
 
-    from specbound import cli
+    from specbound import Interval, cli
+    from specbound.discretize import _nested_windows
 
     tracer = spans.Tracer()
     installation = spans.install(tracer)
@@ -31,6 +36,7 @@ def test_tracer_records_every_level_solve(monkeypatch, tmp_path):
         code = cli.main([
             "lambda1",
             "--domain", '{"kind":"interval","dim":1,"params":{"a":0,"b":1}}',
+            "--h-start", "0.125",
             "--levels", "3",
             "--out", str(tmp_path / "out.json"),
         ])
@@ -41,6 +47,9 @@ def test_tracer_records_every_level_solve(monkeypatch, tmp_path):
     assert len(solves) == 3
     for span in solves:
         assert 0 < span.info["residual_ratio"] <= 1
+    windows = itertools.islice(_nested_windows(Interval(0.0, 1.0), 0.125), 3)
+    builds = [span.info["lattice"] for span in tracer.spans if span.name == "discretize.build_grid"]
+    assert builds == [math.prod(len(r) for r in window) for _, window in windows] == [9, 17, 33]
 
 
 def test_tracer_spans_every_domain_kind(monkeypatch):
