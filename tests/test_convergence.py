@@ -268,7 +268,7 @@ def test_windowed_study_equals_full_frame(name, monkeypatch):
     study = refine(domain, h_start, 3)
     monkeypatch.setattr(
         convergence, "build_grid",
-        lambda domain, h_start, level: full_frame_grid(domain, h_start * 0.5**level, h_start),
+        lambda domain, start, level: full_frame_grid(domain, start * 0.5**level, start),
     )
     reference = refine(domain, h_start, 3)
     assert study.lambda1_values.tobytes() == reference.lambda1_values.tobytes()

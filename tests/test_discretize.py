@@ -119,7 +119,7 @@ class TestBuildGrid:
     @pytest.mark.parametrize("level", [0, 2])
     @pytest.mark.parametrize("h_start", [0.0, -0.1, math.nan], ids=["zero", "negative", "nan"])
     def test_nonpositive_spacing_rejected(self, unit_interval, h_start, level):
-        # every level's spacing is checked, not only that of the first
+        # h_start is checked whatever level is asked for
         with pytest.raises(GridError, match="spacing must be positive"):
             build_grid(unit_interval, h_start, level)
 
