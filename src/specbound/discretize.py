@@ -9,8 +9,7 @@ on exterior points, and all lattice work is done on the window: the
 membership test, `assemble`'s index and the V-cycle transfers.  A grid is
 addressed by the spacing a study starts at and its refinement level, and
 `_nested_windows` alone decides each level's window.  Over a refinement
-the windows are nested, each starting at twice the index of the one before
-and ending on the same exterior points, so a point and its neighbors are
+the windows nest (see `_nested_windows`), so a point and its neighbors are
 those of the whole lattice and every result is the same bit for bit.
 `assemble` finds the neighbors of the interior points by one gather per
 stencil slot, at a fixed offset in the flat window index, through an
@@ -25,6 +24,7 @@ the forward neighbors from the smallest stride up.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -88,10 +88,14 @@ def _nested_windows(domain: Domain, h_start: float):
     The first window runs from the last lattice index at or below the
     domain's extent to the first at or past it, so its faces lie outside
     the domain.  Each later one is range(2*start, 2*stop - 1): its faces are
-    the same points as those of the one before, no interior point is ever
-    on a face, and coarse index k of a window sits at fine index 2k of the
-    next, which the transfers rely on.  Raises GridError as build_grid
-    does, at h_start or at the first level whose window is over the cap.
+    the same points as those of the one before, and no interior point is
+    ever on a face.  This is the nesting contract that the transfers rely on
+    and do not check: the fine window starts at twice the coarse start and
+    is 2n - 1 long where the coarse one is n, so coarse index k sits at fine
+    index 2k.  Every pair the library transfers between is level k and
+    level k + 1 of one study, so the contract holds by construction.
+    Raises GridError as build_grid does, at h_start or at the first level
+    whose window is over the cap.
     """
     if not h_start > 0:
         raise GridError(f"spacing must be positive, got {h_start}")
@@ -136,20 +140,11 @@ def _interpolate_transpose(f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_nested(coarse: Grid, fine: Grid):
-    if fine.start != tuple(2 * s for s in coarse.start):
-        raise GridError(
-            f"fine window starts at {fine.start}, not at twice the coarse start {coarse.start}"
-        )
-    if fine.shape != tuple(2 * n - 1 for n in coarse.shape):
-        raise GridError(
-            f"fine window has shape {fine.shape}, not 2n - 1 for the coarse shape {coarse.shape}"
-        )
-
-
 def _transfer(operator, source: Grid, values: np.ndarray, target: Grid) -> np.ndarray:
-    # apply a 1-D operator along each axis of the window, where omitted
-    # points hold zero (the Dirichlet value)
+    """Carry a field on the interior points of `source` onto those of
+    `target`, the next finer or coarser level of the same study, by a 1-D
+    operator along each axis of the window in turn; the windows nest (see
+    `_nested_windows`).  Omitted points hold zero, the Dirichlet value."""
     box = np.zeros(source.shape)
     box.ravel()[source.interior_flat] = values  # a view: box is C-contiguous
     for axis in range(box.ndim):
@@ -157,27 +152,9 @@ def _transfer(operator, source: Grid, values: np.ndarray, target: Grid) -> np.nd
     return box.ravel()[target.interior_flat]
 
 
-def _prolong(coarse: Grid, values: np.ndarray, fine: Grid) -> np.ndarray:
-    """Interpolate a field on the interior points of `coarse` onto those of
-    `fine`, the same domain at half the spacing.
-
-    Both lattices start at the bounding-box corner, and the fine window
-    starts at twice the coarse start and is 2n - 1 long where the coarse one
-    is n (GridError otherwise), so fine window index m sits at coarse window
-    index m/2 on every axis, and the interpolation is 1-D and linear along
-    each axis in turn.  Omitted coarse points count as zero (the Dirichlet
-    value).
-    """
-    _check_nested(coarse, fine)
-    return _transfer(_interpolate, coarse, values, fine)
-
-
-def _restrict(fine: Grid, values: np.ndarray, coarse: Grid) -> np.ndarray:
-    """The transpose of `_prolong(coarse, ., fine)`: a field on the interior
-    points of `fine` summed onto those of `coarse` with the interpolation
-    weights."""
-    _check_nested(coarse, fine)
-    return _transfer(_interpolate_transpose, fine, values, coarse)
+# _prolong(coarse, values, fine) interpolates; _restrict(fine, values, coarse) is its transpose
+_prolong = functools.partial(_transfer, _interpolate)
+_restrict = functools.partial(_transfer, _interpolate_transpose)
 
 
 def build_grid(domain: Domain, h_start: float, level: int = 0) -> Grid:
@@ -187,12 +164,15 @@ def build_grid(domain: Domain, h_start: float, level: int = 0) -> Grid:
 
     The window is the `level`-th one that `_nested_windows` yields, so
     `build_grid(domain, h_start, k)` is level k of `refine(domain,
-    h_start, ...)`, and level 0 is the window over the domain's extent.
-    Raises GridError when h_start is not positive, too coarse relative to
-    the bounding box, or so small that the lattice size overflows, when the
-    window of any level up to `level` exceeds 20,000,000 lattice points, or
-    when no point is interior.
+    h_start, ...)`, level 0 is the window over the domain's extent, and
+    level k nests in level k + 1 (see `_nested_windows`).  Raises GridError
+    when `level` is not a non-negative integer, when h_start is not
+    positive, too coarse relative to the bounding box, or so small that the
+    lattice size overflows, when the window of any level up to `level`
+    exceeds 20,000,000 lattice points, or when no point is interior.
     """
+    if not (isinstance(level, int) and level >= 0):
+        raise GridError(f"level must be a non-negative integer, got {level!r}")
     h, window = next(itertools.islice(_nested_windows(domain, h_start), level, None))
     origin = domain.bounding_box[:, 0].copy()
     axes = [origin[a] + np.arange(r.start, r.stop) * h for a, r in enumerate(window)]

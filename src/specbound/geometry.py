@@ -358,10 +358,11 @@ class RasterMask(Domain):
         """The occupancy array as 0/1 integers."""
         return self.occupied.astype(int)
 
-    @property
+    @functools.cached_property
     def extent(self):
-        # the box of the occupied cells; the array's own box, where the
-        # lattice is anchored, may have empty margins
+        # the box of the occupied cells, scanned once since a mask does not
+        # change; the array's own box, where the lattice is anchored, may
+        # have empty margins
         cells = []
         for axis in range(self.dim):
             others = tuple(b for b in range(self.dim) if b != axis)

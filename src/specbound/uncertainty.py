@@ -265,7 +265,8 @@ def certify_bounds(study: ConvergenceStudy, hbar: float = 1.0) -> UncertaintyRep
     The continuum statements use the study's extrapolated lambda1 and its
     error estimate; sigma_p, sigma_x and the spectral bound use the ground
     state, operator and discrete lambda1 of its finest level.  Raises
-    ValueError unless hbar is positive and finite.
+    ValueError unless hbar is positive and finite and the extrapolated
+    lambda1 is positive.
     """
     if not 0.0 < hbar < math.inf:
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
@@ -276,12 +277,14 @@ def certify_bounds(study: ConvergenceStudy, hbar: float = 1.0) -> UncertaintyRep
     metrics = grid.domain.metrics()
     zero = first_zero(n / 2.0 - 1.0)
     lambda1, lambda1_error = study.extrapolated, study.error_estimate
+    # first: it refuses a lambda1 that is not positive, before any sqrt of it
+    ratio = krahn_ratio(lambda1, metrics, n)
     lambda1_discrete = float(spectrum.eigenvalues[0])
 
     sigma_p = momentum_stddev(study.finest_matrix, field, hbar)
     sigma_x = position_stddev(field)
 
-    band = 5.0 * (lambda1_error / lambda1) if lambda1 > 0 else math.inf
+    band = 5.0 * (lambda1_error / lambda1)
     diameter_product = math.sqrt(lambda1) * metrics.diameter
     diameter_product_discrete = sigma_p * metrics.diameter / hbar
 
@@ -290,7 +293,6 @@ def certify_bounds(study: ConvergenceStudy, hbar: float = 1.0) -> UncertaintyRep
         "eq10": diameter_product / (2.0 * zero) - 1.0,
         "kennard": sigma_p * sigma_x / (hbar / 2.0) - 1.0,
     }
-    ratio = krahn_ratio(lambda1, metrics, n)
 
     return UncertaintyReport(
         domain_spec=grid.domain.to_spec(),

@@ -18,6 +18,9 @@ DISK = '{"kind":"ball","dim":2,"params":{"center":[0,0],"radius":1}}'
 DEEP = '{"kind":"ball","dim":2,"params":{"center":%s,"radius":1}}' % (
     "[" * 100_000 + "0" + "]" * 100_000
 )
+# a mask whose levels at h = 0.55 ... 0.06875 read 6.61, 12.80, 16.10 and
+# 11.56, so that the extrapolated lambda1 is negative, -15.59
+NEGATIVE_EXTRAPOLANT = '{"kind":"raster-mask","dim":2,"params":{"mask":[[1,0,0],[1,0,1]],"cell_size":1}}'
 
 
 def run(capsys, *argv):
@@ -437,6 +440,11 @@ INPUT_ERRORS = {
     ),
     "values-empty": (["sweep", "--family", "rectangle-aspect", "--values", ","], "error: --values is empty\n"),
     "out-is-directory": (["bessel-zeros", "--out", "adir"], "i/o error: "),
+    # refused by name before any square root of it
+    "negative-lambda1": (
+        ["certify", "--domain", NEGATIVE_EXTRAPOLANT, "--h-start", "0.55", "--levels", "4"],
+        "error: lambda1 must be positive, got -15.59",
+    ),
 }
 
 
@@ -623,6 +631,17 @@ class TestSweep:
         assert good[1] == "a_good" and good[-1] == "ok"
         assert deep[1] == "b_deep" and len(deep) == len(header)
         assert deep[-1] == "error: invalid domain JSON: nested too deeply to parse"
+
+    def test_negative_lambda1_is_error_row(self, capsys, tmp_path):
+        (tmp_path / "negative.json").write_text(NEGATIVE_EXTRAPOLANT)
+        code, out, _ = run(
+            capsys, "sweep", "--family", "mask-batch", "--mask-dir", str(tmp_path),
+            "--h-start", "0.55", "--levels", "4",
+        )
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out))
+        assert row[1] == "negative" and len(row) == len(header)
+        assert row[-1].startswith("error: lambda1 must be positive, got -15.59")
 
     def test_comma_in_mask_file_name_keeps_columns(self, capsys, tmp_path):
         spec = {"kind": "raster-mask", "dim": 2, "params": {"mask": [[1] * 4] * 4, "cell_size": 0.25}}

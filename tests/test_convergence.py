@@ -16,8 +16,8 @@ from specbound import (
     refine,
     smallest_eigenpairs,
 )
-from specbound import convergence
-from specbound.eigensolve import DEFAULT_TOL
+from specbound import convergence, eigensolve
+from specbound.eigensolve import _DIRECT_POINTS, DEFAULT_TOL
 
 from conftest import L_VERTICES, WINDOW_CASES, full_frame_grid
 from test_discretize import interval_eigenvalues
@@ -284,3 +284,52 @@ def test_build_grid_level_is_refine_level(name):
     grid = build_grid(domain, h_start, 2)
     assert (grid.start, grid.shape, grid.spacing) == (finest.start, finest.shape, finest.spacing)
     assert grid.interior_flat.tobytes() == finest.interior_flat.tobytes()
+
+
+# (domain, h_start, levels) of studies whose transfers are recorded: the
+# windowed masks, the disk, the 3-ball, and the unit square, whose levels of
+# 9 and 49 points each start a new hierarchy
+TRANSFER_STUDIES = {
+    **{name: (domain, h_start, 3) for name, (domain, h_start) in WINDOW_CASES.items()},
+    "disk": (Ball([0.0, 0.0], 1.0), 1.0 / 16, 3),
+    "ball3": (Ball([0.0, 0.0, 0.0], 1.0), 0.25, 3),
+    "square": (Box([[0.0, 1.0]] * 2), 0.25, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFER_STUDIES))
+def test_every_transfer_pair_nests(name, monkeypatch):
+    # the transfers do not check their grids: every pair that refine and
+    # the V-cycle hand them must be levels k and k + 1 of the study, whose
+    # windows nest (the fine one starts at twice the coarse start and is
+    # 2n - 1 long)
+    domain, h_start, levels = TRANSFER_STUDIES[name]
+    pairs = {"refine": [], "v-cycle": []}
+
+    def record(module, attr, caller):
+        transfer = getattr(module, attr)
+
+        def recorder(source, values, target):
+            assert values.shape == (source.point_count,)
+            coarse, fine = (source, target) if attr == "_prolong" else (target, source)
+            assert fine.domain is coarse.domain is domain
+            assert fine.spacing == coarse.spacing / 2
+            assert fine.start == tuple(2 * s for s in coarse.start)
+            assert fine.shape == tuple(2 * n - 1 for n in coarse.shape)
+            pairs[caller].append((attr, coarse.spacing, fine.spacing))
+            return transfer(source, values, target)
+
+        monkeypatch.setattr(module, attr, recorder)
+
+    record(convergence, "_prolong", "refine")
+    record(eigensolve, "_prolong", "v-cycle")
+    record(eigensolve, "_restrict", "v-cycle")
+    study = refine(domain, h_start, levels)
+    hs = list(study.spacings)
+    # refine prolongs each level's ground state onto the next
+    assert pairs["refine"] == [("_prolong", h, h / 2) for h in hs[:-1]]
+    # a V-cycle descends from each level of more than _DIRECT_POINTS points
+    # to the level below, where a hierarchy of smaller levels restarts
+    descents = {hs[k] for k in range(1, levels) if build_grid(domain, h_start, k).point_count > _DIRECT_POINTS}
+    for attr in ("_prolong", "_restrict"):
+        assert {fine for a, _, fine in pairs["v-cycle"] if a == attr} == descents

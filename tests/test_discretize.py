@@ -123,6 +123,11 @@ class TestBuildGrid:
         with pytest.raises(GridError, match="spacing must be positive"):
             build_grid(unit_interval, h_start, level)
 
+    @pytest.mark.parametrize("level", [-1, 1.5])
+    def test_bad_level_rejected(self, unit_interval, level):
+        with pytest.raises(GridError, match=f"level must be a non-negative integer, got {level}"):
+            build_grid(unit_interval, 0.1, level)
+
     def test_underflowing_spacing_rejected(self, unit_interval):
         # 1 / 5e-324 is inf: no lattice size to predict or allocate
         with pytest.raises(GridError, match="too small"):
@@ -288,8 +293,7 @@ class TestProlong:
         ids=["2d", "3d"],
     )
     def test_multilinear_field_exact_away_from_boundary(self, domain):
-        coarse = build_grid(domain, 0.125)
-        fine = build_grid(domain, 0.0625)
+        coarse, fine = build_grid(domain, 0.125), build_grid(domain, 0.125, 1)
 
         def field(idx):
             # affine plus cross terms: multilinear in lattice coordinates
@@ -304,8 +308,7 @@ class TestProlong:
         assert np.allclose(out[away], field(m[away] / 2.0), rtol=1e-14, atol=0.0)
 
     def test_coincident_points_keep_coarse_value(self, unit_disk):
-        coarse = build_grid(unit_disk, 0.125)
-        fine = build_grid(unit_disk, 0.0625)
+        coarse, fine = build_grid(unit_disk, 0.125), build_grid(unit_disk, 0.125, 1)
         values = np.random.default_rng(5).standard_normal(coarse.point_count)
         out = _prolong(coarse, values, fine)
         m = lattice_indices(fine)
@@ -333,13 +336,13 @@ class TestProlong:
                 box = 0.5 * (np.take(box, lo, axis=axis) + np.take(box, hi, axis=axis))
             return box.ravel()[fine.interior_flat]
 
-        coarse, fine = build_grid(domain, h), build_grid(domain, h / 2)
+        coarse, fine = build_grid(domain, h), build_grid(domain, h, 1)
         values = np.random.default_rng(3).standard_normal(coarse.point_count)
         assert np.array_equal(_prolong(coarse, values, fine), reference(coarse, values, fine))
 
     @pytest.mark.parametrize("domain, h", TRANSFER_CASES, ids=TRANSFER_IDS)
     def test_restrict_is_adjoint(self, domain, h):
-        coarse, fine = build_grid(domain, h), build_grid(domain, h / 2)
+        coarse, fine = build_grid(domain, h), build_grid(domain, h, 1)
         rng = np.random.default_rng(11)
         for _ in range(3):
             v = rng.standard_normal(coarse.point_count)
@@ -350,8 +353,7 @@ class TestProlong:
             assert left == pytest.approx(right, rel=1e-12)
 
     def test_non_dividing_spacing(self, unit_ball3):
-        coarse = build_grid(unit_ball3, 0.3)
-        fine = build_grid(unit_ball3, 0.15)
+        coarse, fine = build_grid(unit_ball3, 0.3), build_grid(unit_ball3, 0.3, 1)
         assert coarse.shape == (8, 8, 8) and fine.shape == (15, 15, 15)
         out = _prolong(coarse, np.ones(coarse.point_count), fine)
         assert out.shape == (fine.point_count,)
@@ -393,24 +395,19 @@ class TestWindows:
         assert np.array_equal(_prolong(coarse, v, fine), _prolong(full_coarse, v, full_fine))
         assert np.array_equal(_restrict(fine, w, coarse), _restrict(full_fine, w, full_coarse))
 
-    def test_transfers_refuse_windows_that_do_not_nest(self):
-        # occupied cells from 0.4: the window at h = 0.25 starts at lattice
-        # index 1, the one built alone at h = 0.125 at 3, not at 2
+    def test_grids_built_alone_need_not_nest(self):
+        # the transfers take levels k and k + 1 of one study and do not
+        # check that they nest; two grids each built at level 0 may not.
+        # Occupied cells from 0.4: the window at h = 0.25 starts at lattice
+        # index 1 and its next level at 2, the one built alone at h = 0.125
+        # at 3
         mask = np.zeros((8, 8), dtype=int)
         mask[4:7, 4:7] = 1
         domain = RasterMask(mask, 0.1)
-        coarse, fine = build_grid(domain, 0.25), build_grid(domain, 0.125)
-        assert (coarse.start, fine.start) == ((1, 1), (3, 3))
-        with pytest.raises(GridError, match="twice the coarse start"):
-            _prolong(coarse, np.ones(coarse.point_count), fine)
-        with pytest.raises(GridError, match="twice the coarse start"):
-            _restrict(fine, np.ones(fine.point_count), coarse)
-        # built alone at h = 0.15, the unit square's window starts right
-        # but ends on the first point past 1, not on the coarse one's faces
+        coarse, fine, alone = build_grid(domain, 0.25), build_grid(domain, 0.25, 1), build_grid(domain, 0.125)
+        assert (coarse.start, fine.start, alone.start) == ((1, 1), (2, 2), (3, 3))
+        # built alone at h = 0.15, the unit square's window ends on the
+        # first point past 1, not on the coarse one's faces
         square = Box([[0.0, 1.0]] * 2)
-        coarse, fine = build_grid(square, 0.3), build_grid(square, 0.15)
-        assert (coarse.shape, fine.shape) == ((5, 5), (8, 8))
-        with pytest.raises(GridError, match="not 2n - 1"):
-            _prolong(coarse, np.ones(coarse.point_count), fine)
-        with pytest.raises(GridError, match="not 2n - 1"):
-            _restrict(fine, np.ones(fine.point_count), coarse)
+        coarse, fine, alone = build_grid(square, 0.3), build_grid(square, 0.3, 1), build_grid(square, 0.15)
+        assert (coarse.shape, fine.shape, alone.shape) == ((5, 5), (9, 9), (8, 8))

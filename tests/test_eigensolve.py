@@ -116,8 +116,7 @@ class TestSmallestEigenpairs:
         assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
 
     def test_prolonged_start_matches_seeded_start(self, unit_disk):
-        coarse = build_grid(unit_disk, 0.125)
-        fine = build_grid(unit_disk, 0.0625)
+        coarse, fine = build_grid(unit_disk, 0.125), build_grid(unit_disk, 0.125, 1)
         ground = smallest_eigenpairs(assemble(coarse)).eigenvectors[:, 0]
         matrix = assemble(fine)
         warm = smallest_eigenpairs(matrix, v0=_prolong(coarse, ground, fine))
@@ -129,16 +128,12 @@ class TestSmallestEigenpairs:
         # the coarsest level's conjugate gradients must not divide 0 by 0;
         # the disk at 0.25 starts from a dense inverse, the 3-ball at 0.25
         # (251 points) and the disk at 1/16 (793) from conjugate gradients
-        for domain, spacings in (
-            (unit_disk, (0.25, 0.125, 0.0625)),
-            (unit_ball3, (0.25, 0.125, 0.0625)),
-            (unit_disk, (0.0625, 0.03125)),
-        ):
+        for domain, h_start, count in ((unit_disk, 0.25, 3), (unit_ball3, 0.25, 3), (unit_disk, 0.0625, 2)):
             levels = []
-            for h in spacings:
-                grid = build_grid(domain, h)
+            for level in range(count):
+                grid = build_grid(domain, h_start, level)
                 _add_level(levels, grid, assemble(grid))
-            assert len(levels) == len(spacings)
+            assert len(levels) == count
             zero = np.zeros(grid.point_count)
             assert np.array_equal(_v_cycle(tuple(levels), zero), zero)
 

@@ -298,6 +298,17 @@ class TestRasterMask:
         with pytest.raises(DomainError):
             RasterMask(np.zeros((4, 4), dtype=int), 0.5)
 
+    def test_extent_is_scanned_once(self, monkeypatch):
+        # the box of the occupied cells; a mask does not change, so every
+        # later access returns the first answer without reading the array
+        mask = np.zeros((6, 5), dtype=int)
+        mask[1:4, 2] = mask[3, 4] = 1
+        domain = RasterMask(mask, 0.5, origin=[1.0, -1.0])
+        first = domain.extent
+        assert first.tolist() == [[1.5, 3.0], [0.0, 1.5]]
+        monkeypatch.setattr(domain, "occupied", None)
+        assert domain.extent is first
+
 
 def corner_diameter(occ, cell, origin):
     """Largest distance between two corners of occupied cells, by brute force."""

@@ -143,6 +143,9 @@ OFFCENTRE = {
 # a box whose short edge no spacing h_start/2^k of the default study divides
 BOX_1X07 = {"kind": "box", "dim": 2, "params": {"bounds": [[0, 1], [0, 0.7]]}}
 
+# a mask whose levels from h = 0.55 extrapolate to a negative lambda1
+NEGATIVE = {"kind": "raster-mask", "dim": 2, "params": {"mask": [[1, 0, 0], [1, 0, 1]], "cell_size": 1}}
+
 # the segment 0.5 +/- 0.5 as an ellipse of one axis
 ELLIPSE_1D = {"kind": "ellipse", "dim": 1, "params": {"center": [0.5], "semi_axes": [0.5]}}
 
@@ -220,6 +223,9 @@ def cases() -> list:
         # refinements whose spacing divides no bounding-box edge
         ("certify-box-1x0.7", ["certify", "--domain", json.dumps(BOX_1X07)], None),
         ("lambda1-ball3-h0.3", ["lambda1", "--domain", _spec("ball3"), "--h-start", "0.3", "--levels", "3"], None),
+        # a negative extrapolated lambda1, refused by name
+        ("certify-mask-negative-lambda1", ["certify", "--domain", json.dumps(NEGATIVE), "--h-start", "0.55", "--levels", "4"], None),
+        ("sweep-masks-negative-lambda1", ["sweep", "--family", "mask-batch", "--mask-dir", "negative", "--h-start", "0.55", "--levels", "4"], None),
         # input errors (exit 2) and non-convergence (exit 3)
         ("error-unknown-kind", ["certify", "--domain", '{"kind":"torus","dim":2,"params":{}}'], None),
         ("error-malformed-json", ["lambda1", "--domain", '{"kind":'], None),
@@ -287,6 +293,8 @@ def _prepare(work: Path):
     (comma / "sq,1.json").write_text(json.dumps(SPECS["mask"]), encoding="utf-8")
     (work / "fractional").mkdir()
     (work / "fractional" / "l-shape.json").write_text(json.dumps(L_MASK), encoding="utf-8")
+    (work / "negative").mkdir()
+    (work / "negative" / "negative.json").write_text(json.dumps(NEGATIVE), encoding="utf-8")
     # a file nested too deeply to parse, then a good one
     deep = work / "deep"
     deep.mkdir()
