@@ -1,9 +1,11 @@
 """Grid-refinement studies: observed convergence order and extrapolation.
 
-Spacings are halved between levels.  The observed order p is fitted by
-least squares on log|lambda1(h) - lambda1(h/2)| against log h; each
-consecutive level pair then yields a Richardson extrapolant with that
-order, and the error estimate is the gap between the last two extrapolants.
+`refine` solves lambda1 at spacings halved from level to level; `_extrapolate`
+alone makes the estimate.  The order p is the least-squares slope of
+log|lambda1(h) - lambda1(h/2)| against log h over the nonzero differences,
+clamped to `_ORDER_RANGE`, or 2 if fewer than two are nonzero.  Each level
+pair yields a Richardson extrapolant of order p; the estimate is the last, its
+error the gap to the one before or, if that gap is roundoff, the last correction.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from .discretize import (
     Grid,
     OperatorMatrix,
+    _is_integer,
     _nested_windows,
     _prolong,
     assemble,
@@ -83,19 +86,15 @@ def refine(
     interpolated onto its lattice (nested iteration).  The levels form the
     multigrid hierarchy that preconditions each solve (see `eigensolve`).
 
-    Level k is `build_grid(domain, h_start, k)`, a window of its
-    bounding-box lattice that holds the domain's extent, nested in the next
-    (see `_nested_windows`): for a raster mask the box of its occupied
-    cells, for every other kind the bounding-box lattice out to the first
-    point at or past its far corner.  Raises GridError or
-    SolverConvergenceError if a level cannot be built or solved, and
-    GridError, a ValueError, when a level's window would exceed 20,000,000
-    lattice points; every level is checked before the first one is built, up
-    to the first oversized one.  A non-monotone lambda1 sequence is reported
-    via the study's `monotone` flag, not raised.
+    Level k is `build_grid(domain, h_start, k)`, whose window
+    `_nested_windows` decides.  Raises ValueError unless `levels` is an
+    integer of at least 3, GridError or SolverConvergenceError if a level
+    cannot be built or solved, and GridError before any level is built if
+    one's window would exceed 20,000,000 lattice points.  A non-monotone
+    lambda1 sequence sets the study's `monotone` flag; it is not raised.
     """
-    if levels < 3:
-        raise ValueError(f"need at least 3 refinement levels, got {levels}")
+    if not (_is_integer(levels) and levels >= 3):
+        raise ValueError(f"levels must be an integer of at least 3, got {levels!r}")
     hs = np.array([h for h, _ in itertools.islice(_nested_windows(domain, h_start), levels)])
     lams, hierarchy, coarse = [], [], None
     for level in range(levels):
@@ -110,38 +109,39 @@ def refine(
         lams.append(float(spectrum.eigenvalues[0]))
         coarse = grid
     lams = np.array(lams)
-
-    diffs = np.diff(lams)
-    usable = np.abs(diffs) > 0
-    if int(usable.sum()) >= 2:
-        slope = np.polyfit(np.log(hs[:-1][usable]), np.log(np.abs(diffs[usable])), 1)[0]
-        order = float(min(max(slope, _ORDER_RANGE[0]), _ORDER_RANGE[1]))
-    else:
-        order = 2.0  # sequence already converged; order is unobservable
-    factor = 2.0**order - 1.0
-    extrapolants = lams[1:] + diffs / factor
-    extrapolated = float(extrapolants[-1])
-    error_estimate = float(abs(extrapolants[-1] - extrapolants[-2]))
-    if error_estimate <= 1e-9 * abs(extrapolated):
-        # with three levels the fitted order reproduces both extrapolants
-        # exactly and their gap is pure roundoff; fall back to the size of
-        # the last Richardson correction as a conservative estimate; the
-        # test is relative, so scaling the domain changes no decision
-        error_estimate = float(abs(extrapolants[-1] - lams[-1]))
-    signs = np.sign(diffs)
-    monotone = bool(np.all(signs >= 0) or np.all(signs <= 0))
-
     # grid, matrix and spectrum still hold the finest level
     return ConvergenceStudy(
         tol=tol,
         spacings=hs,
         lambda1_values=lams,
-        observed_order=order,
-        extrapolated=extrapolated,
-        error_estimate=error_estimate,
-        extrapolants=np.asarray(extrapolants),
-        monotone=monotone,
         finest_grid=grid,
         finest_matrix=matrix,
         finest_spectrum=spectrum,
+        **_extrapolate(hs, lams),
+    )
+
+
+def _extrapolate(spacings: np.ndarray, values: np.ndarray) -> dict:
+    """A study's estimate fields from lambda1 `values` at `spacings`, by the module's rule."""
+    diffs = np.diff(values)
+    usable = np.abs(diffs) > 0
+    if int(usable.sum()) >= 2:
+        slope = np.polyfit(np.log(spacings[:-1][usable]), np.log(np.abs(diffs[usable])), 1)[0]
+        order = float(min(max(slope, _ORDER_RANGE[0]), _ORDER_RANGE[1]))
+    else:
+        order = 2.0  # sequence already converged; order is unobservable
+    extrapolants = values[1:] + diffs / (2.0**order - 1.0)
+    error_estimate = float(abs(extrapolants[-1] - extrapolants[-2]))
+    if error_estimate <= 1e-9 * abs(extrapolants[-1]):
+        # with three levels the fitted order reproduces both extrapolants exactly and
+        # their gap is pure roundoff; the size of the last Richardson correction is a
+        # conservative estimate; the test is relative, so scale changes no decision
+        error_estimate = float(abs(extrapolants[-1] - values[-1]))
+    signs = np.sign(diffs)
+    return dict(
+        observed_order=order,
+        extrapolated=float(extrapolants[-1]),
+        error_estimate=error_estimate,
+        extrapolants=extrapolants,
+        monotone=bool(np.all(signs >= 0) or np.all(signs <= 0)),
     )

@@ -157,6 +157,10 @@ _prolong = functools.partial(_transfer, _interpolate)
 _restrict = functools.partial(_transfer, _interpolate_transpose)
 
 
+def _is_integer(value) -> bool:  # the rule for levels: any integer, numpy's too, but no bool
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def build_grid(domain: Domain, h_start: float, level: int = 0) -> Grid:
     """Lay the lattice of refinement level `level` of a study started at
     h_start, spacing h_start * 2**-level from the bounding-box corner, and
@@ -171,7 +175,7 @@ def build_grid(domain: Domain, h_start: float, level: int = 0) -> Grid:
     lattice size overflows, when the window of any level up to `level`
     exceeds 20,000,000 lattice points, or when no point is interior.
     """
-    if not (isinstance(level, int) and level >= 0):
+    if not (_is_integer(level) and level >= 0):
         raise GridError(f"level must be a non-negative integer, got {level!r}")
     h, window = next(itertools.islice(_nested_windows(domain, h_start), level, None))
     origin = domain.bounding_box[:, 0].copy()

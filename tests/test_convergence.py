@@ -148,6 +148,16 @@ class TestStudyShape:
         with pytest.raises(ValueError):
             refine(Interval(0.0, 1.0), 1.0 / 8, 2)
 
+    @pytest.mark.parametrize("levels", [3.5, True], ids=["float", "bool"])
+    def test_levels_must_be_an_integer(self, no_grid, levels):
+        # build_grid's rule for a level: an integral that is not a bool
+        with pytest.raises(ValueError, match=f"levels must be an integer of at least 3, got {levels}"):
+            refine(Interval(0.0, 1.0), 1.0 / 8, levels)
+
+    def test_numpy_integer_levels(self):
+        study = refine(Interval(0.0, 1.0), 1.0 / 8, np.int64(3))
+        assert study.to_csv() == refine(Interval(0.0, 1.0), 1.0 / 8, 3).to_csv()
+
     def test_point_cap_enforced(self, no_grid):
         # 2**25 + 1 lattice points at the first level
         with pytest.raises(ValueError, match="33554433 lattice points, above the cap 20000000"):
@@ -228,6 +238,94 @@ class TestStudyShape:
             b = refine(domain, 1.0 / 8, 3)
             assert a.to_csv() == b.to_csv()
             assert np.array_equal(a.lambda1_values, b.lambda1_values)
+
+
+# (h_start, lambda1 values, observed_order, extrapolants, error_estimate,
+# monotone) of the estimate rule, as refine computed them before the rule
+# moved into _extrapolate; spacings halve from h_start, and the estimate is
+# the last extrapolant
+EXTRAPOLATIONS = {
+    # the box 1 x 0.7 at the defaults, h = 1/8 ... 1/64: the fit clamps at
+    # the bottom of _ORDER_RANGE
+    "box-1x0.7": (
+        0.125,
+        [26.89216815414715, 27.283913373543044, 28.93686229293539, 29.82292303874754],
+        0.05,
+        [38.39254985204424, 75.8091858183554, 54.94876053658731],
+        20.860425281768094,
+        True,
+    ),
+    # the plus mask of cell 1/3 from h = 1/6, three levels: rising
+    # differences, so the fit clamps at the bottom, far from the reference
+    # 59.6943
+    "plus-mask": (
+        1 / 6,
+        [63.50155281000759, 62.90843208638555, 61.26476545601434],
+        0.05,
+        [46.08943295030613, 14.655657840626773],
+        31.43377510967936,
+        True,
+    ),
+    # the L-shape from h = 1/16, four levels: a fitted order
+    "l-shape": (
+        0.0625,
+        [9.673506476037202, 9.656201820147158, 9.647022927736533, 9.642809564170076],
+        1.0190579691448554,
+        [9.639345462947198, 9.638081825980066, 9.638705353040956],
+        6.235270608900834e-4,
+        True,
+    ),
+    # the aligned 2 x 1 box from h = 1/8, three levels: both extrapolants
+    # agree, so the error is the last Richardson correction
+    "box-2x1-fallback": (
+        0.125,
+        [12.202903946941795, 12.303356377381206, 12.328585467147722],
+        1.9933524086345618,
+        [12.33704702927396, 12.33704702927396],
+        0.00846156212623761,
+        True,
+    ),
+    # a gap of one ulp between the extrapolants is roundoff as well
+    "roundoff-gap": (
+        0.125,
+        [1.0, 1.5, 1.7],
+        1.3219280948873617,
+        [1.8333333333333335, 1.8333333333333333],
+        0.1333333333333333,
+        True,
+    ),
+    # no nonzero difference: the order is 2 and the error 0
+    "constant": (0.125, [5.0, 5.0, 5.0], 2.0, [5.0, 5.0], 0.0, True),
+    # differences shrinking by 2**-12 per level: the fit clamps at the top
+    "clamp-top": (
+        0.125,
+        [1.0, 2.0, 2.0 + 2.0**-12, 2.0 + 2.0**-12 + 2.0**-24],
+        10.0,
+        [2.0009775171065494, 2.0002443792766376, 2.0002442002879093],
+        1.7898872828325807e-07,
+        True,
+    ),
+    "non-monotone": (0.125, [10.0, 9.0, 9.5, 9.25], 1.0000000000000004, [8.0, 10.0, 9.0], 1.0, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTRAPOLATIONS))
+def test_extrapolate_literal_sequence(name, no_grid):
+    h_start, values, order, extrapolants, error, monotone = EXTRAPOLATIONS[name]
+    spacings = h_start * 0.5 ** np.arange(len(values))
+    fields = convergence._extrapolate(spacings, np.array(values))
+    assert fields["observed_order"] == order
+    assert fields["extrapolants"].tolist() == extrapolants
+    assert fields["extrapolated"] == extrapolants[-1]
+    assert fields["error_estimate"] == error
+    assert fields["monotone"] is monotone
+
+
+def test_study_estimate_is_extrapolate_of_its_levels(disk_study):
+    fields = convergence._extrapolate(disk_study.spacings, disk_study.lambda1_values)
+    assert set(fields) == {"observed_order", "extrapolated", "error_estimate", "extrapolants", "monotone"}
+    for name, value in fields.items():
+        assert np.asarray(getattr(disk_study, name)).tobytes() == np.asarray(value).tobytes(), name
 
 
 # each kind of domain scaled by s; at a power of two every lattice

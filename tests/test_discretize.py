@@ -123,10 +123,15 @@ class TestBuildGrid:
         with pytest.raises(GridError, match="spacing must be positive"):
             build_grid(unit_interval, h_start, level)
 
-    @pytest.mark.parametrize("level", [-1, 1.5])
+    @pytest.mark.parametrize("level", [-1, 1.5, True])
     def test_bad_level_rejected(self, unit_interval, level):
         with pytest.raises(GridError, match=f"level must be a non-negative integer, got {level}"):
             build_grid(unit_interval, 0.1, level)
+
+    def test_numpy_integer_level_accepted(self, unit_interval):
+        grid, same = build_grid(unit_interval, 0.1, np.int64(1)), build_grid(unit_interval, 0.1, 1)
+        assert (grid.start, grid.shape, grid.spacing) == (same.start, same.shape, same.spacing)
+        assert grid.interior_flat.tobytes() == same.interior_flat.tobytes()
 
     def test_underflowing_spacing_rejected(self, unit_interval):
         # 1 / 5e-324 is inf: no lattice size to predict or allocate

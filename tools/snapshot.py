@@ -143,6 +143,12 @@ OFFCENTRE = {
 # a box whose short edge no spacing h_start/2^k of the default study divides
 BOX_1X07 = {"kind": "box", "dim": 2, "params": {"bounds": [[0, 1], [0, 0.7]]}}
 
+# studies outside their asymptotic range that certify a wrong lambda1 with
+# exit 0: the plus mask of cell 1/3 from h = 1/6 (reference 59.6943) and
+# the box 1 x 0.9 from h = 1/16 (exact pi^2 (1 + 1/0.81) = 22.054)
+PLUS_MASK = {"kind": "raster-mask", "dim": 2, "params": {"mask": [[0, 1, 0], [1, 1, 1], [0, 1, 0]], "cell_size": 1 / 3}}
+BOX_1X09 = {"kind": "box", "dim": 2, "params": {"bounds": [[0, 1], [0, 0.9]]}}
+
 # a mask whose levels from h = 0.55 extrapolate to a negative lambda1
 NEGATIVE = {"kind": "raster-mask", "dim": 2, "params": {"mask": [[1, 0, 0], [1, 0, 1]], "cell_size": 1}}
 
@@ -223,6 +229,8 @@ def cases() -> list:
         # refinements whose spacing divides no bounding-box edge
         ("certify-box-1x0.7", ["certify", "--domain", json.dumps(BOX_1X07)], None),
         ("lambda1-ball3-h0.3", ["lambda1", "--domain", _spec("ball3"), "--h-start", "0.3", "--levels", "3"], None),
+        ("certify-mask-plus", ["certify", "--domain", json.dumps(PLUS_MASK), "--h-start", repr(1 / 6), "--levels", "3"], None),
+        ("certify-box-1x0.9", ["certify", "--domain", json.dumps(BOX_1X09), "--h-start", "0.0625", "--levels", "3"], None),
         # a negative extrapolated lambda1, refused by name
         ("certify-mask-negative-lambda1", ["certify", "--domain", json.dumps(NEGATIVE), "--h-start", "0.55", "--levels", "4"], None),
         ("sweep-masks-negative-lambda1", ["sweep", "--family", "mask-batch", "--mask-dir", "negative", "--h-start", "0.55", "--levels", "4"], None),
