@@ -241,9 +241,9 @@ class TestStudyShape:
 
 
 # (h_start, lambda1 values, observed_order, extrapolants, error_estimate,
-# monotone) of the estimate rule, as refine computed them before the rule
-# moved into _extrapolate; spacings halve from h_start, and the estimate is
-# the last extrapolant
+# monotone) of the estimate rule, pinned bit for bit so that any change to
+# the rule shows here as a reviewed change of expected values; spacings
+# halve from h_start, and the estimate is the last extrapolant
 EXTRAPOLATIONS = {
     # the box 1 x 0.7 at the defaults, h = 1/8 ... 1/64: the fit clamps at
     # the bottom of _ORDER_RANGE

@@ -229,6 +229,7 @@ def cases() -> list:
         # refinements whose spacing divides no bounding-box edge
         ("certify-box-1x0.7", ["certify", "--domain", json.dumps(BOX_1X07)], None),
         ("lambda1-ball3-h0.3", ["lambda1", "--domain", _spec("ball3"), "--h-start", "0.3", "--levels", "3"], None),
+        # studies outside their asymptotic range (see PLUS_MASK)
         ("certify-mask-plus", ["certify", "--domain", json.dumps(PLUS_MASK), "--h-start", repr(1 / 6), "--levels", "3"], None),
         ("certify-box-1x0.9", ["certify", "--domain", json.dumps(BOX_1X09), "--h-start", "0.0625", "--levels", "3"], None),
         # a negative extrapolated lambda1, refused by name
