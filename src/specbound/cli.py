@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from ._format import csv_text, format_float, to_json
-from .convergence import refine
+from .convergence import _check_levels, refine
 from .eigensolve import DEFAULT_TOL, SolverConvergenceError
 from .geometry import (
     Box,
@@ -39,9 +39,9 @@ EXIT_NO_CONVERGENCE = 3
 
 
 def _check_pipeline_flags(args):
-    # the checks that argparse's types and choices do not make
-    if args.levels < 3:
-        raise DomainError(f"levels must be >= 3, got {args.levels}")
+    # the checks that argparse's types and choices do not make; refine's
+    # levels rule is made here too, so a sweep fails before its first row
+    _check_levels(args.levels)
     # a relative residual of 1 or more places lambda anywhere in
     # [0, 2 theta], so it certifies nothing
     if not 0 < args.tol < 1:

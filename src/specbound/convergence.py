@@ -73,6 +73,13 @@ class ConvergenceStudy:
         return csv_text(("h", "lambda1", "diff", "extrapolant"), rows)
 
 
+def _check_levels(levels) -> None:
+    """Raise ValueError unless `levels` is an integer of at least 3, the
+    fewest levels that `_extrapolate` can make an error estimate from."""
+    if not (_is_integer(levels) and levels >= 3):
+        raise ValueError(f"levels must be an integer of at least 3, got {levels!r}")
+
+
 def refine(
     domain: Domain,
     h_start: float,
@@ -93,8 +100,7 @@ def refine(
     one's window would exceed 20,000,000 lattice points.  A non-monotone
     lambda1 sequence sets the study's `monotone` flag; it is not raised.
     """
-    if not (_is_integer(levels) and levels >= 3):
-        raise ValueError(f"levels must be an integer of at least 3, got {levels!r}")
+    _check_levels(levels)
     hs = np.array([h for h, _ in itertools.islice(_nested_windows(domain, h_start), levels)])
     lams, hierarchy, coarse = [], [], None
     for level in range(levels):
@@ -102,10 +108,16 @@ def refine(
         matrix = assemble(grid)
         precondition = _add_level(hierarchy, grid, matrix)
         # the level's memory peak is the eigensolve (cube at h = 1/64, traced:
-        # 50.0 MB, against 28.4 MB during assembly); the start vector is
-        # prolonged after assembly, so it does not add to the latter
-        v0 = None if coarse is None else _prolong(coarse, spectrum.eigenvectors[:, 0], grid)
-        spectrum = smallest_eigenpairs(matrix, tol=tol, v0=v0, precondition=precondition)
+        # 50.0 MB, against 28.4 MB during assembly).  The start vector is
+        # prolonged after assembly and passed inline, so no name here holds
+        # it through the solve, which copies it and drops it (see
+        # `smallest_eigenpairs`)
+        spectrum = smallest_eigenpairs(
+            matrix,
+            tol=tol,
+            v0=None if coarse is None else _prolong(coarse, spectrum.eigenvectors[:, 0], grid),
+            precondition=precondition,
+        )
         lams.append(float(spectrum.eigenvalues[0]))
         coarse = grid
     lams = np.array(lams)

@@ -122,33 +122,38 @@ def _nested_windows(domain: Domain, h_start: float):
         window = tuple(range(2 * w.start, 2 * w.stop - 1) for w in window)
 
 
-def _interpolate(c: np.ndarray) -> np.ndarray:
+def _interpolate(c: np.ndarray, out: np.ndarray) -> None:
     """The 1-D interpolation along axis 0 from n coarse points onto the
-    2n - 1 fine ones: fine[2k] = c[k], fine[2k + 1] = (c[k] + c[k + 1]) / 2."""
-    out = np.empty((2 * c.shape[0] - 1,) + c.shape[1:])
+    2n - 1 fine ones of `out`: fine[2k] = c[k], fine[2k + 1] = (c[k] + c[k + 1]) / 2."""
     out[0::2] = c
-    out[1::2] = 0.5 * (c[:-1] + c[1:])
-    return out
+    np.add(c[:-1], c[1:], out=out[1::2])
+    out[1::2] *= 0.5
 
 
-def _interpolate_transpose(f: np.ndarray) -> np.ndarray:
-    """The transpose of `_interpolate`, from 2n - 1 fine points onto n coarse."""
-    out = f[0::2].copy()
+def _interpolate_transpose(f: np.ndarray, out: np.ndarray) -> None:
+    """The transpose of `_interpolate`, from 2n - 1 fine points onto the n coarse ones of `out`."""
+    out[...] = f[0::2]
     half = 0.5 * f[1::2]
     out[:-1] += half
     out[1:] += half
-    return out
 
 
 def _transfer(operator, source: Grid, values: np.ndarray, target: Grid) -> np.ndarray:
     """Carry a field on the interior points of `source` onto those of
     `target`, the next finer or coarser level of the same study, by a 1-D
     operator along each axis of the window in turn; the windows nest (see
-    `_nested_windows`).  Omitted points hold zero, the Dirichlet value."""
+    `_nested_windows`).  Omitted points hold zero, the Dirichlet value.
+
+    The source box is a window-sized zeros array; each axis pass writes a
+    fresh C-ordered box, through a view with that axis first, and frees the
+    one before, so the last pass leaves the target's box, which the result
+    gathers from without a copy."""
     box = np.zeros(source.shape)
     box.ravel()[source.interior_flat] = values  # a view: box is C-contiguous
-    for axis in range(box.ndim):
-        box = operator(box.swapaxes(0, axis)).swapaxes(0, axis)
+    for axis, n in enumerate(target.shape):
+        out = np.empty(box.shape[:axis] + (n,) + box.shape[axis + 1:])
+        operator(box.swapaxes(0, axis), out.swapaxes(0, axis))
+        box = out
     return box.ravel()[target.interior_flat]
 
 

@@ -136,6 +136,20 @@ def _add_level(levels: list, grid: Grid | None, matrix: OperatorMatrix):
     return functools.partial(_v_cycle, tuple(levels))
 
 
+def _residual(a, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # b - A x, formed in the buffer that the product returns
+    r = a @ x
+    np.subtract(b, r, out=r)
+    return r
+
+
+def _smooth(a, b: np.ndarray, x: np.ndarray, c: float) -> None:
+    # one damped Jacobi sweep in place, x += c (b - A x)
+    r = _residual(a, b, x)
+    r *= c
+    x += r
+
+
 def _v_cycle(levels: tuple, b: np.ndarray) -> np.ndarray:
     """One geometric V-cycle for A x = b, A the operator of the last of
     `levels`: an approximation T b to A^-1 b that serves as a preconditioner.
@@ -144,6 +158,10 @@ def _v_cycle(levels: tuple, b: np.ndarray) -> np.ndarray:
     and two after the coarse-level correction; the residual goes down by
     full weighting, 2^-dim times the transpose of `_prolong`, onto the
     coarser level's own operator.  The first level applies its own solver.
+    Beside x, a level holds one transient fine vector at a time: each sweep
+    forms c (b - A x) in the array that the product A x returns, the
+    restriction's 2^-dim scales `_restrict`'s coarse result in place, and
+    the transfers hold their window boxes only while they run.
     """
     grid, matrix, solve = levels[-1]
     if len(levels) == 1:
@@ -152,25 +170,25 @@ def _v_cycle(levels: tuple, b: np.ndarray) -> np.ndarray:
     # omega = 2 dim / (2 dim + 1) over the constant diagonal 2 dim / h^2
     c = grid.spacing**2 / (2 * grid.dim + 1)
     x = c * b
-    x += c * (b - a @ x)
-    r = 2.0**-grid.dim * _restrict(grid, b - a @ x, coarse)
+    _smooth(a, b, x, c)
+    r = _restrict(grid, _residual(a, b, x), coarse)
+    r *= 2.0**-grid.dim
     x += _prolong(coarse, _v_cycle(levels[:-1], r), grid)
     for _ in range(2):
-        x += c * (b - a @ x)
+        _smooth(a, b, x, c)
     return x
 
 
-def _lobpcg(a, start, tol, precondition):
+def _lobpcg(a, work, tol, precondition):
     # the smallest eigenpair by Rayleigh-Ritz on span{x, T r, p}.  The rows
-    # of `work` hold the iterate x, its preconditioned residual T r and the
-    # previous step p, then A x, A T r and A p.  A x is formed fresh at the
-    # top of every step, so the residual tested is the one certified; A p is
-    # carried through the Ritz coefficients.  p starts at zero, a direction
-    # that the Gram rule below drops.
-    work = np.empty((6, a.shape[0]))
+    # of the (6, N) `work` hold the iterate x, its preconditioned residual
+    # T r and the previous step p, then A x, A T r and A p; the caller puts
+    # the start vector in row 0.  A x is formed fresh at the top of every
+    # step, so the residual tested is the one certified; A p is carried
+    # through the Ritz coefficients.  p starts at zero, a direction that the
+    # Gram rule below drops.
     basis = work[:3]
     x, r, p, ax, ar, ap = work
-    x[:] = start
     norm = math.sqrt(x @ x)
     if not 0.0 < norm < math.inf:
         raise ValueError("the start vector must be finite and not zero")
@@ -234,9 +252,14 @@ def smallest_eigenpairs(
 
     The pair satisfies ||A v - lambda v|| <= tol * lambda, checked with a
     fresh product A v; `tol` must lie in (0, 1).  The iteration starts from
-    `v0`, which must be finite and not zero (else ValueError), or else from
-    the constant vector.  The returned vector has unit 2-norm and a positive
-    mean; `Spectrum.wavefield` rescales it to the h^n-weighted norm.
+    `v0`, an array-like of N floats that are finite and not all zero (else
+    ValueError), or else from the constant vector.  The returned vector has
+    unit 2-norm and a positive mean; `Spectrum.wavefield` rescales it to
+    the h^n-weighted norm.
+
+    The solve's vectors live in one (6, N) work buffer allocated here; the
+    start is copied into its first row and `v0` is not referenced after
+    that, so a start passed inline is freed before the first step.
 
     `precondition` maps a residual r to T r with T an approximation of
     A^-1, and each step searches along T r in place of r.  It changes how
@@ -252,10 +275,22 @@ def smallest_eigenpairs(
     a = matrix.matrix
     if not 0 < tol < 1:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
-    start = np.ones(a.shape[0]) if v0 is None else v0
+    n = a.shape[0]
+    work = np.empty((6, n))
+    if v0 is None:
+        work[0] = 1.0
+    else:
+        v0 = np.asarray(v0, dtype=float)
+        if v0.shape != (n,):
+            raise ValueError(f"v0 must have shape ({n},), one value per point, got {v0.shape}")
+        work[0] = v0
+    # the caller's start vector is not held through the iterations: refine
+    # passes it inline, and CPython (3.11 on) hands call arguments to the
+    # callee's frame, so this name holds the last reference
+    del v0
     if precondition is None:
         precondition = _add_level([], None, matrix)
-    lam, x, res = _lobpcg(a, start, tol, precondition)
+    lam, x, res = _lobpcg(a, work, tol, precondition)
     # a fresh array: a view of x would keep the whole (6, N) work buffer alive
     sign = -1.0 if x.sum() < 0 else 1.0
     return Spectrum(

@@ -208,7 +208,7 @@ class TestCertify:
             capsys, "certify", "--domain", INTERVAL, "--levels", "2"
         )
         assert code == 2
-        assert "levels" in err
+        assert err == "error: levels must be an integer of at least 3, got 2\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -364,6 +364,33 @@ class TestProlong:
         assert out.shape == (fine.point_count,)
         assert np.all(np.isfinite(out))
 
+    @pytest.mark.parametrize(
+        "domain, h",
+        [
+            (Ball([0.0, 0.0, 0.0], 1.0), 1.0 / 16),
+            (Box([[0.0, 1.0]] * 3), 1.0 / 32),
+            (Ball([0.0, 0.0], 1.0), 1.0 / 64),
+        ],
+        ids=["ball3", "cube", "disk"],
+    )
+    def test_peak_is_bounded_per_target_point(self, domain, h):
+        # the target's box, the box of the pass before it (half a box in
+        # 3-D) and the result: at most 8 bytes per target window point plus
+        # 1.5 fine vectors.  A C-order copy of the last box, as ravel() makes
+        # of a non-contiguous one, and the temporaries of 0.5 * (c[:-1] +
+        # c[1:]) took 5.01, 3.20 and 3.57 fine vectors here, against 3.50,
+        # 2.60 and 2.78 allowed
+        coarse, fine = build_grid(domain, h), build_grid(domain, h, 1)
+        values = np.ones(coarse.point_count)
+        _prolong(coarse, values, fine)  # first-call allocations are not the transfer's
+        tracemalloc.start()
+        try:
+            _prolong(coarse, values, fine)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (math.prod(fine.shape) + 1.5 * fine.point_count)
+
 
 class TestWindows:
     @pytest.mark.parametrize("name", sorted(WINDOW_CASES))

@@ -143,6 +143,29 @@ class TestSmallestEigenpairs:
             with pytest.raises(ValueError):
                 smallest_eigenpairs(matrix, v0=v0)
 
+    @pytest.mark.parametrize(
+        "v0, shape",
+        [
+            (np.array([2.0]), (1,)),
+            (3.0, ()),
+            (np.ones((1, 49)), (1, 49)),
+            (np.ones((49, 1)), (49, 1)),
+            (np.ones(50), (50,)),
+            ([1.0] * 49, None),
+        ],
+        ids=["length-1", "scalar", "row", "column", "too-long", "list"],
+    )
+    def test_start_must_have_one_value_per_point(self, v0, shape):
+        # the unit square at h = 1/8 has 49 points; a start that numpy would
+        # broadcast into a constant row is refused, not solved from
+        matrix = assemble(build_grid(Box([[0.0, 1.0], [0.0, 1.0]]), 0.125))
+        if shape is not None:
+            with pytest.raises(ValueError, match=re.escape(f"v0 must have shape (49,), one value per point, got {shape}")):
+                smallest_eigenpairs(matrix, v0=v0)
+        else:
+            spectrum, cold = smallest_eigenpairs(matrix, v0=v0), smallest_eigenpairs(matrix)
+            assert np.array_equal(spectrum.eigenvectors, cold.eigenvectors)
+
     def test_nonconvergence_reports_best_residual(self, unit_interval):
         h = 0.125
         matrix = assemble(build_grid(unit_interval, h))
@@ -277,6 +300,30 @@ class TestSmallestEigenpairs:
         monkeypatch.setattr(convergence, "smallest_eigenpairs", solve)
         refine(domain, h, 3)
         assert alive == expected
+
+    @pytest.mark.parametrize("shape, h", [("disk", 0.0625), ("ball3", 0.125)])
+    def test_start_vectors_are_freed_before_the_solve(self, shape, h, monkeypatch):
+        # each start vector that refine prolongs is copied into the solve's
+        # work buffer and then dropped, so none is alive by the time _lobpcg
+        # starts.  This relies on CPython (3.11 on) handing a call's
+        # arguments to the callee's frame: refine passes the vector inline,
+        # and smallest_eigenpairs deletes its own name for it
+        domain = Ball([0.0] * (2 if shape == "disk" else 3), 1.0)
+        real_prolong, real_lobpcg, refs, alive = convergence._prolong, eigensolve._lobpcg, [], []
+
+        def prolong(*args):
+            out = real_prolong(*args)
+            refs.append(weakref.ref(out))
+            return out
+
+        def lobpcg(*args):
+            alive.append([ref() is not None for ref in refs])
+            return real_lobpcg(*args)
+
+        monkeypatch.setattr(convergence, "_prolong", prolong)
+        monkeypatch.setattr(eigensolve, "_lobpcg", lobpcg)
+        refine(domain, h, 3)
+        assert alive == [[], [False], [False, False]]
 
     def test_monotone_under_domain_restriction(self):
         # nested rasters at the same spacing: shrinking the domain can only
