@@ -276,17 +276,14 @@ def smallest_eigenpairs(
     if not 0 < tol < 1:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
     n = a.shape[0]
-    work = np.empty((6, n))
-    if v0 is None:
-        work[0] = 1.0
-    else:
+    if v0 is not None:
         v0 = np.asarray(v0, dtype=float)
         if v0.shape != (n,):
             raise ValueError(f"v0 must have shape ({n},), one value per point, got {v0.shape}")
-        work[0] = v0
-    # the caller's start vector is not held through the iterations: refine
-    # passes it inline, and CPython (3.11 on) hands call arguments to the
-    # callee's frame, so this name holds the last reference
+    work = np.empty((6, n))
+    work[0] = 1.0 if v0 is None else v0
+    # refine passes the start inline and CPython (3.11 on) hands call
+    # arguments to the callee's frame, so this name holds its last reference
     del v0
     if precondition is None:
         precondition = _add_level([], None, matrix)
