@@ -222,10 +222,23 @@ def assemble(grid: Grid) -> OperatorMatrix:
     del number
     present = cols >= 0
     indices = cols[present]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(present.sum(axis=1, dtype=np.int32), out=indptr[1:])
-    diagonal = indptr[:-1] + present[:, :dim].sum(axis=1, dtype=np.int32)
-    del cols, present
+    # each row's count of backward neighbours, then of entries, by column
+    # adds over the int8 view of `present` (a row sum over its seven bytes
+    # costs about as much as the rest of assemble), written straight into
+    # `diagonal` and `indptr`; every row holds its own point.  No np.zeros:
+    # a calloc'd buffer cost about 210 more page faults a call on the 1/64 cube
+    counts = present.view(np.int8)
+    diagonal = counts[:, 0].astype(np.int32)
+    for k in range(1, dim):
+        diagonal += counts[:, k]
+    indptr = np.empty(n + 1, dtype=np.int32)
+    indptr[0] = 0
+    np.add(diagonal, 1, out=indptr[1:])
+    for k in range(dim + 1, 2 * dim + 1):
+        indptr[1:] += counts[:, k]
+    np.cumsum(indptr[1:], out=indptr[1:])
+    diagonal += indptr[:-1]
+    del cols, present, counts
     data = np.full(indices.shape[0], -1.0 / h2)
     data[diagonal] = 2.0 * dim / h2
     return OperatorMatrix(matrix=sparse.csr_matrix((data, indices, indptr), shape=(n, n)))

@@ -45,6 +45,12 @@ _CAP = 2000
 # On the benchmark this cap cut the mask sweep's wall time by 20-28%; 256
 # was no faster, and 1024 slowed the 2-D solves by 40%
 _DIRECT_POINTS = 128
+# columns per block of `_lobpcg`'s vector work.  Nine float64 rows of a
+# block (2.25 MiB) stay in a 4 MiB L2, where OpenBLAS's dgemm on the
+# (3, N) x (N, 6) Rayleigh-Ritz shape runs about ten times faster than once
+# its rows spill (0.13 ms at N = 51,429 but 1.44 ms at 137,059); a level
+# of at most this many points is one block
+_BLOCK = 1 << 15
 
 
 class SolverConvergenceError(RuntimeError):
@@ -179,6 +185,21 @@ def _v_cycle(levels: tuple, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _column_blocks(work: np.ndarray) -> list:
+    # views of the rows of `work` over column blocks of _BLOCK, the whole
+    # of it when it has at most _BLOCK columns
+    return [work[:, i:i + _BLOCK] for i in range(0, work.shape[1], _BLOCK)]
+
+
+def _products(blocks: list) -> np.ndarray:
+    # the (3, 6) products of the first three rows with all six, summed
+    # block by block; one block is basis @ work.T
+    products = blocks[0][:3] @ blocks[0].T
+    for block in blocks[1:]:
+        products += block[:3] @ block.T
+    return products
+
+
 def _lobpcg(a, work, tol, precondition):
     # the smallest eigenpair by Rayleigh-Ritz on span{x, T r, p}.  The rows
     # of the (6, N) `work` hold the iterate x, its preconditioned residual
@@ -186,20 +207,24 @@ def _lobpcg(a, work, tol, precondition):
     # the start vector in row 0.  A x is formed fresh at the top of every
     # step, so the residual tested is the one certified; A p is carried
     # through the Ritz coefficients.  p starts at zero, a direction that the
-    # Gram rule below drops.
-    basis = work[:3]
+    # Gram rule below drops.  The elementwise work runs over column blocks
+    # that stay in cache (`_BLOCK`), each element with the same operations
+    # in the same order; the products and norms run over whole rows
     x, r, p, ax, ar, ap = work
     norm = math.sqrt(x @ x)
     if not 0.0 < norm < math.inf:
         raise ValueError("the start vector must be finite and not zero")
     x /= norm
     p[:] = ap[:] = 0.0
+    blocks = _column_blocks(work)
+    rows = [tuple(block) for block in blocks]
     best, lowest, improved = math.inf, math.inf, 0
     for step in range(_CAP):
         ax[:] = a @ x
         lam = float(x @ ax)
-        np.multiply(x, lam, out=r)
-        np.subtract(ax, r, out=r)
+        for bx, br, _, bax, _, _ in rows:
+            np.multiply(bx, lam, out=br)
+            np.subtract(bax, br, out=br)
         res = math.sqrt(r @ r)
         if res <= tol * lam:
             return lam, x, res
@@ -213,8 +238,10 @@ def _lobpcg(a, work, tol, precondition):
         r[:] = precondition(r)
         ar[:] = a @ r
         # one (3, 6) product gives the Gram and the Ritz matrix; it is much
-        # faster than basis @ basis.T, which numpy routes to BLAS syrk
-        products = basis @ work.T
+        # faster than basis @ basis.T, which numpy routes to BLAS syrk.  It
+        # is summed over column blocks because dgemm slows about tenfold on
+        # this shape once its nine rows outgrow L2 (`_BLOCK`)
+        products = _products(blocks)
         norms2 = products.diagonal()
         scale = np.where(norms2 > 0, norms2, 1.0) ** -0.5
         outer = scale[:, None] * scale
@@ -226,14 +253,15 @@ def _lobpcg(a, work, tol, precondition):
         t = u[:, keep] / np.sqrt(mu[keep])
         c = scale * (t @ np.linalg.eigh(t.T @ stiff @ t)[1][:, 0])
         # T r and A T r are recomputed next step, so they can be scaled in place
-        r *= c[1]
-        p *= c[2]
-        p += r
-        ar *= c[1]
-        ap *= c[2]
-        ap += ar
-        x *= c[0]
-        x += p
+        for bx, br, bp, _, bar, bap in rows:
+            br *= c[1]
+            bp *= c[2]
+            bp += br
+            bar *= c[1]
+            bap *= c[2]
+            bap += bar
+            bx *= c[0]
+            bx += bp
         x /= math.sqrt(x @ x)
     raise SolverConvergenceError(
         f"eigenpair 0 did not reach residual {tol * lam:.3e} "

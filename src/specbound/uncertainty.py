@@ -84,24 +84,25 @@ def momentum_stddev(matrix: OperatorMatrix, field: WaveField, hbar: float = 1.0)
 def position_stddev(field: WaveField) -> float:
     """Total position spread sqrt(sum_i h^n psi_i^2 ||x_i - mean||^2).
 
-    A point's coordinate on an axis is origin + (start + window index) * h,
-    formed one axis at a time in two buffers of N entries rather than as
-    an (N, dim) array."""
+    The spread is the sum over axes of each axis's variance, which depends
+    only on the marginal mass of each lattice index along that axis: one
+    buffer of N window indices, and per axis a `bincount` of the
+    probabilities against it, whose coordinates are origin + (start +
+    window index) * h."""
     _require_normalized(field)
     grid = field.grid
     prob = field.weight * field.values**2
-    index, x = np.empty_like(grid.interior_flat), np.empty_like(prob)
-    squares = np.zeros_like(prob)
-    for axis in range(grid.dim):
+    index = np.empty_like(grid.interior_flat)
+    variance = 0.0
+    for axis, (start, n) in enumerate(zip(grid.start, grid.shape)):
         np.floor_divide(grid.interior_flat, math.prod(grid.shape[axis + 1:]), out=index)
-        index %= grid.shape[axis]
-        index += grid.start[axis]
-        np.multiply(index, grid.spacing, out=x)
-        x += grid.origin[axis]
-        x -= prob @ x
-        x *= x
-        squares += x
-    return math.sqrt(float(prob @ squares))
+        if axis:  # along the first axis the quotient is the index
+            index %= n
+        mass = np.bincount(index, weights=prob, minlength=n)
+        x = np.arange(start, start + n) * grid.spacing + grid.origin[axis]
+        x -= mass @ x
+        variance += float(mass @ (x * x))
+    return math.sqrt(variance)
 
 
 def krahn_ratio(lambda1: float, metrics: DomainMetrics, n: int) -> float:

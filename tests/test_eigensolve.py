@@ -340,6 +340,41 @@ class TestSmallestEigenpairs:
         assert lam["bitten"] >= lam["full"] - 1e-10
 
 
+BLOCK = eigensolve._BLOCK
+
+
+class TestColumnBlocks:
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_blocked_products_match_whole_rows(self, n):
+        # positive rows, so no entry of the product is a cancellation
+        work = np.random.default_rng(n).random((6, n)) + 0.5
+        blocks = eigensolve._column_blocks(work)
+        assert len(blocks) == -(-n // BLOCK)
+        assert all(np.shares_memory(block, work) for block in blocks)
+        assert np.array_equal(np.concatenate(blocks, axis=1), work)
+        whole = work[:3] @ work.T
+        assert np.allclose(eigensolve._products(blocks), whole, rtol=1e-13, atol=0.0)
+
+    def test_small_blocks_reach_the_same_eigenpair(self, unit_disk, monkeypatch):
+        # the disk at h = 1/16 (N = 793) in blocks of 64 columns, 13 of them
+        # with a short last one, against the one block of the default
+        matrix = assemble(build_grid(unit_disk, 1.0 / 16))
+        whole = smallest_eigenpairs(matrix)
+        monkeypatch.setattr(eigensolve, "_BLOCK", 64)
+        blocked = smallest_eigenpairs(matrix)
+        lam, v = blocked.eigenvalues[0], blocked.eigenvectors[:, 0]
+        assert lam == pytest.approx(whole.eigenvalues[0], rel=1e-12)
+        fresh = np.linalg.norm(matrix.matrix @ v - lam * v)
+        assert fresh <= eigensolve.DEFAULT_TOL * lam
+
+    def test_one_block_is_bit_identical(self, unit_disk):
+        # a level of at most _BLOCK points runs the unblocked numpy calls on
+        # the same arrays: literals from the solver before it was blocked
+        spectrum = smallest_eigenpairs(assemble(build_grid(unit_disk, 0.125)))
+        assert spectrum.eigenvalues[0] == 5.439976215367134
+        assert spectrum.residuals[0] == 1.632717214820293e-10
+
+
 class TestRayleighQuotient:
     def test_all_ones_on_interval(self, unit_interval):
         grid = build_grid(unit_interval, 0.25)

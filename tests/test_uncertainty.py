@@ -215,9 +215,10 @@ class TestCertifyBounds:
         assert interval_report.to_csv() == interval_report.to_csv()
 
     def test_transient_memory_is_a_few_vectors(self, unit_ball3):
-        # sigma_x forms one coordinate axis at a time, not the (N, 3) point
-        # array: the 3-ball at h = 1/16 (N = 17,071) peaks near 5.5 vectors
-        # of N doubles, where the point array made 12
+        # sigma_x sums each axis's marginal masses against one buffer of
+        # window indices, not the (N, 3) point array: the 3-ball at h = 1/16
+        # (N = 17,071) peaks near 3 vectors of N doubles, where the point
+        # array made 12 and one coordinate axis at a time 5.5
         study = refine(unit_ball3, 0.25, 3)
         n = study.finest_grid.point_count
         certify_bounds(study)
@@ -227,7 +228,7 @@ class TestCertifyBounds:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * 8 * n
+        assert peak <= 5.5 * 8 * n
 
     def test_hbar_covariance_leaves_ratios_unchanged(self, unit_interval):
         study = refine(unit_interval, 1.0 / 8, 3)
