@@ -226,10 +226,10 @@ def assemble(grid: Grid) -> OperatorMatrix:
     # adds over the int8 view of `present` (a row sum over its seven bytes
     # costs about as much as the rest of assemble), written straight into
     # `diagonal` and `indptr`; every row holds its own point.  `diagonal`
-    # reuses the first column of `cols`, which `indices` no longer needs: an
-    # N-sized buffer of its own left a hole in the heap that raised the
-    # solve-3d peak by 0.8 MiB.  No np.zeros: a calloc'd buffer cost about
-    # 210 more page faults a call on the 1/64 cube
+    # is the first column of `cols`, dead once `indices` is copied out: a
+    # buffer of its own left a heap hole that raised the solve-3d peak by
+    # 0.8 MiB.  No np.zeros: a calloc'd buffer cost about 210 more page
+    # faults a call on the 1/64 cube
     counts = present.view(np.int8)
     diagonal = cols[:, 0]
     diagonal[...] = counts[:, 0]

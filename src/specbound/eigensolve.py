@@ -209,7 +209,8 @@ def _lobpcg(a, work, tol, precondition):
     # through the Ritz coefficients.  p starts at zero, a direction that the
     # Gram rule below drops.  The elementwise work runs over column blocks
     # that stay in cache (`_BLOCK`), each element with the same operations
-    # in the same order; the products and norms run over whole rows
+    # in the same order; the sparse products and the norms run over whole
+    # rows
     x, r, p, ax, ar, ap = work
     norm = math.sqrt(x @ x)
     if not 0.0 < norm < math.inf:
