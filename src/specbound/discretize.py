@@ -75,10 +75,15 @@ class OperatorMatrix:
     matrix: sparse.csr_matrix = field(repr=False)
 
 
-# lattice points per level's window, which build_grid, assemble's index and
-# the transfers allocate; it also keeps the stencil's (2*dim+1)*N entries
-# below 2**31, so assemble's indices are int32
+# lattice points per level's window, over which build_grid's membership
+# mask and assemble's inverse index allocate; it also keeps the stencil's
+# (2*dim+1)*N entries below 2**31, so assemble's indices are int32
 _POINT_CAP = 20_000_000
+# fine lattice points per slab of a transfer (`_transfer`): about 1 MiB a
+# box, against 17 MiB for the whole window of the 3-ball at h = 1/64
+_SLAB = 1 << 17
+# rows per chunk of assemble's stencil table
+_CHUNK = 1 << 15
 
 
 def _nested_windows(domain: Domain, h_start: float):
@@ -117,7 +122,9 @@ def _nested_windows(domain: Domain, h_start: float):
         # stop - start, since len() raises OverflowError past a C ssize_t
         lattice = math.prod(r.stop - r.start for r in window)
         if lattice > _POINT_CAP:
-            raise GridError(f"level h={h} has {lattice} lattice points, above the cap {_POINT_CAP}")
+            # digits, not float(), which overflows past 1e308
+            count = lattice if lattice < 10**15 else f"over 10^{len(str(lattice)) - 1}"
+            raise GridError(f"level h={h} has {count} lattice points, above the cap {_POINT_CAP}")
         yield h, window
         window = tuple(range(2 * w.start, 2 * w.stop - 1) for w in window)
 
@@ -138,23 +145,54 @@ def _interpolate_transpose(f: np.ndarray, out: np.ndarray) -> None:
     out[1:] += half
 
 
+def _slab(grid: Grid, first: int, stop: int, start: int):
+    # the positions in grid.interior_flat of its points on planes first to
+    # stop - 1 along axis 0, and their flat indices in a box from plane
+    # `start`; interior_flat itself for the whole window
+    if first == start == 0 and stop == grid.shape[0]:
+        return slice(None), grid.interior_flat
+    plane = math.prod(grid.shape[1:])
+    lo, hi = np.searchsorted(grid.interior_flat, (first * plane, stop * plane))
+    return slice(lo, hi), grid.interior_flat[lo:hi] - start * plane
+
+
 def _transfer(operator, source: Grid, values: np.ndarray, target: Grid) -> np.ndarray:
     """Carry a field on the interior points of `source` onto those of
     `target`, the next finer or coarser level of the same study, by a 1-D
     operator along each axis of the window in turn; the windows nest (see
     `_nested_windows`).  Omitted points hold zero, the Dirichlet value.
 
-    The source box is a window-sized zeros array; each axis pass writes a
-    fresh C-ordered box, through a view with that axis first, and frees the
-    one before, so the last pass leaves the target's box, which the result
-    gathers from without a copy."""
-    box = np.zeros(source.shape)
-    box.ravel()[source.interior_flat] = values  # a view: box is C-contiguous
-    for axis, n in enumerate(target.shape):
-        out = np.empty(box.shape[:axis] + (n,) + box.shape[axis + 1:])
-        operator(box.swapaxes(0, axis), out.swapaxes(0, axis))
-        box = out
-    return box.ravel()[target.interior_flat]
+    The work runs over slabs along axis 0 of about _SLAB fine points each:
+    coarse planes lo to hi and fine planes 2 lo to 2 hi, where a
+    restriction's slab starts a coarse plane early, since its first coarse
+    plane needs the fine plane before.  A slab scatters its source points
+    into a zeros box; each axis pass writes a fresh C-ordered box, through
+    a view with that axis first, and frees the one before; and the last box
+    gives the target points the slab owns.  Every box element sees the
+    operations of a whole-window box in the same order, so the result is
+    the same bit for bit, and a window of one slab is one whole box."""
+    restrict = source.shape[0] > target.shape[0]
+    coarse, fine = (target, source) if restrict else (source, target)
+    step = max(1, _SLAB // (2 * math.prod(fine.shape[1:])))  # coarse planes a slab owns
+    last = coarse.shape[0] - 1
+    s, t = (2, 1) if restrict else (1, 2)  # source and target planes a coarse plane
+    result = None
+    for j in range(0, last, step):
+        lo, hi = max(j - restrict, 0), min(j + step, last)
+        box = np.zeros((s * (hi - lo) + 1,) + source.shape[1:])
+        span, flat = _slab(source, s * lo, s * hi + 1, s * lo)
+        box.ravel()[flat] = values[span]  # a view: box is C-contiguous
+        del flat
+        for axis, n in enumerate((t * (hi - lo) + 1,) + target.shape[1:]):
+            out = np.empty(box.shape[:axis] + (n,) + box.shape[axis + 1:])
+            operator(box.swapaxes(0, axis), out.swapaxes(0, axis))
+            box = out
+        span, flat = _slab(target, t * j, t * hi + (hi == last), t * lo)
+        if result is None:  # not under the first slab's boxes
+            result = np.empty(target.point_count)
+        # mode="clip" writes straight into `out`, which "raise" would buffer
+        np.take(box.ravel(), flat, out=result[span], mode="clip")
+    return result
 
 
 # _prolong(coarse, values, fine) interpolates; _restrict(fine, values, coarse) is its transpose
@@ -210,39 +248,46 @@ def assemble(grid: Grid) -> OperatorMatrix:
     flat, shape = grid.interior_flat, grid.shape
     # the interior numbering of every window point, -1 where omitted
     number = np.full(math.prod(shape), -1, dtype=np.int32)
-    number[flat] = np.arange(n)
-    # one row per point in ascending column order (module docstring), one
-    # gather per stencil slot; -1 marks an omitted neighbor.  No interior
-    # point is on a window face, so every neighbor is in the window
+    number[flat] = np.arange(n, dtype=np.int32)
+    # the stencil slots in ascending column order (module docstring); no
+    # interior point is on a window face, so every neighbor is in the window
     strides = [math.prod(shape[axis + 1:]) for axis in range(dim)]
-    cols = np.empty((n, 2 * dim + 1), dtype=np.int32)
-    for k, offset in enumerate([-s for s in strides] + [0] + strides[::-1]):
-        cols[:, k] = number[flat + offset]
-    # not held through the allocations below, where the peak is
-    del number
-    present = cols >= 0
-    indices = cols[present]
-    # each row's count of backward neighbours, then of entries, by column
-    # adds over the int8 view of `present` (a row sum over its seven bytes
-    # costs about as much as the rest of assemble), written straight into
-    # `diagonal` and `indptr`; every row holds its own point.  `diagonal`
-    # is the first column of `cols`, dead once `indices` is copied out: a
-    # buffer of its own left a heap hole that raised the solve-3d peak by
-    # 0.8 MiB.  No np.zeros: a calloc'd buffer cost about 210 more page
-    # faults a call on the 1/64 cube
-    counts = present.view(np.int8)
-    diagonal = cols[:, 0]
-    diagonal[...] = counts[:, 0]
-    for k in range(1, dim):
-        diagonal += counts[:, k]
+    offsets = [-s for s in strides] + [0] + strides[::-1]
+    chunks = [slice(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
+    # each pair of neighbors gives two entries, each row its diagonal
+    nnz = n
+    for rows in chunks:
+        for stride in strides:
+            nnz += 2 * int(np.count_nonzero(number[flat[rows] + stride] >= 0))
+    # the CSR arrays first and then only chunk-sized temporaries, so nothing
+    # N-sized is freed under them to leave a heap hole through the solve
+    indices = np.empty(nnz, dtype=np.int32)
     indptr = np.empty(n + 1, dtype=np.int32)
     indptr[0] = 0
-    np.add(diagonal, 1, out=indptr[1:])
-    for k in range(dim + 1, 2 * dim + 1):
-        indptr[1:] += counts[:, k]
-    np.cumsum(indptr[1:], out=indptr[1:])
-    diagonal += indptr[:-1]
-    del present, counts
-    data = np.full(indices.shape[0], -1.0 / h2)
-    data[diagonal] = 2.0 * dim / h2
+    data = np.full(nnz, -1.0 / h2)
+    table = np.empty((chunks[0].stop, 2 * dim + 1), dtype=np.int32)
+    for rows in chunks:
+        # one gather per stencil slot; -1 marks an omitted neighbor
+        cols = table[:rows.stop - rows.start]
+        for k, offset in enumerate(offsets):
+            cols[:, k] = number[flat[rows] + offset]
+        present = cols >= 0
+        # each row's count of entries, then of backward neighbours, by
+        # column adds over the int8 view of `present` (a row sum over its
+        # bytes costs about as much as the rest of assemble); the latter
+        # goes in the first column of `cols`, dead once its entries are out
+        counts = present.view(np.int8)
+        ends = indptr[rows.start + 1:rows.stop + 1]
+        ends[...] = counts[:, 0]
+        for k in range(1, 2 * dim + 1):
+            ends += counts[:, k]
+        np.cumsum(ends, out=ends)
+        ends += indptr[rows.start]
+        indices[indptr[rows.start]:ends[-1]] = cols[present]
+        diagonal = cols[:, 0]
+        diagonal[...] = counts[:, 0]
+        for k in range(1, dim):
+            diagonal += counts[:, k]
+        diagonal += indptr[rows]
+        data[diagonal] = 2.0 * dim / h2
     return OperatorMatrix(matrix=sparse.csr_matrix((data, indices, indptr), shape=(n, n)))

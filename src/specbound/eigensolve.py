@@ -104,10 +104,10 @@ class Spectrum:
         return WaveField(self.eigenvectors[:, 0] / math.sqrt(grid.spacing**grid.dim), grid)
 
 
-def _coarse_solve(a, b):
-    # conjugate gradients from zero to a relative residual of 1e-2; a zero
-    # right-hand side returns zero
-    x = np.zeros_like(b)
+def _coarse_solve(a, b, x):
+    # conjugate gradients from zero to a relative residual of 1e-2, in x; a
+    # zero right-hand side gives zero
+    x[...] = 0.0
     r = b.copy()
     p = b.copy()
     rr = r @ r
@@ -122,19 +122,18 @@ def _coarse_solve(a, b):
         rr, previous = r @ r, rr
         p *= rr / previous
         p += r
-    return x
 
 
 def _add_level(levels: list, grid: Grid | None, matrix: OperatorMatrix):
     """Add a level to the hierarchy `levels` (module docstring), a list of
-    (grid, matrix, solve) with `solve`, b -> T b, on the first level only,
-    and return the level's preconditioner.  A restart drops the levels
-    below; a lone operator may come with no grid."""
+    (grid, matrix, solve) with `solve(b, out)`, which writes T b into out,
+    on the first level only, and return the level's preconditioner.  A
+    restart drops the levels below; a lone operator may come with no grid."""
     a = matrix.matrix
     n = a.shape[0]
     if n <= _DIRECT_POINTS:
         levels.clear()
-        levels.append((grid, matrix, np.linalg.inv(a @ np.eye(n)).__matmul__))
+        levels.append((grid, matrix, functools.partial(np.matmul, np.linalg.inv(a @ np.eye(n)))))
     elif not levels:
         levels.append((grid, matrix, functools.partial(_coarse_solve, a)))
     else:
@@ -156,33 +155,37 @@ def _smooth(a, b: np.ndarray, x: np.ndarray, c: float) -> None:
     x += r
 
 
-def _v_cycle(levels: tuple, b: np.ndarray) -> np.ndarray:
+def _v_cycle(levels: tuple, b: np.ndarray, x: np.ndarray) -> None:
     """One geometric V-cycle for A x = b, A the operator of the last of
-    `levels`: an approximation T b to A^-1 b that serves as a preconditioner.
+    `levels`: writes into x an approximation T b to A^-1 b that serves as a
+    preconditioner.
 
     Each level above the first smooths with two damped Jacobi sweeps before
     and two after the coarse-level correction; the residual goes down by
     full weighting, 2^-dim times the transpose of `_prolong`, onto the
     coarser level's own operator.  The first level applies its own solver.
-    Beside x, a level holds one transient fine vector at a time: each sweep
-    forms c (b - A x) in the array that the product A x returns, the
-    restriction's 2^-dim scales `_restrict`'s coarse result in place, and
-    the transfers hold their window boxes only while they run.
+    Beside x, which the caller holds, a level holds one transient fine
+    vector at a time: each sweep forms c (b - A x) in the array that the
+    product A x returns, the restriction's 2^-dim scales `_restrict`'s
+    coarse result in place, and the transfers hold one slab's boxes only
+    while they run.
     """
     grid, matrix, solve = levels[-1]
     if len(levels) == 1:
-        return solve(b)
+        solve(b, x)
+        return
     a, coarse = matrix.matrix, levels[-2][0]
     # omega = 2 dim / (2 dim + 1) over the constant diagonal 2 dim / h^2
     c = grid.spacing**2 / (2 * grid.dim + 1)
-    x = c * b
+    np.multiply(c, b, out=x)
     _smooth(a, b, x, c)
     r = _restrict(grid, _residual(a, b, x), coarse)
     r *= 2.0**-grid.dim
-    x += _prolong(coarse, _v_cycle(levels[:-1], r), grid)
+    e = np.empty_like(r)
+    _v_cycle(levels[:-1], r, e)
+    x += _prolong(coarse, e, grid)
     for _ in range(2):
         _smooth(a, b, x, c)
-    return x
 
 
 def _column_blocks(work: np.ndarray) -> list:
@@ -236,7 +239,9 @@ def _lobpcg(a, work, tol, precondition):
         # roundoff floor.  A converging solve keeps lowering one
         if step - improved >= max(_IDLE, step / 2) or step + 1 == _CAP:
             break
-        r[:] = precondition(r)
+        # A T r is dead until it is formed from T r, so its row takes T r
+        precondition(r, ar)
+        r[:] = ar
         ar[:] = a @ r
         # one (3, 6) product gives the Gram and the Ritz matrix; it is much
         # faster than basis @ basis.T, which numpy routes to BLAS syrk.  It
@@ -290,9 +295,12 @@ def smallest_eigenpairs(
     start is copied into its first row and `v0` is not referenced after
     that, so a start passed inline is freed before the first step.
 
-    `precondition` maps a residual r to T r with T an approximation of
-    A^-1, and each step searches along T r in place of r.  It changes how
-    fast the residual falls, not the test it must pass.  The default is
+    `precondition(r, out)` writes T r into `out`, with T an approximation
+    of A^-1, and each step searches along T r in place of r.  `out` is a
+    row of the work buffer that the step does not need until T r is back
+    (it overlaps no other argument), so a preconditioner can form T r in
+    it and need no vector of its own for the result.  T changes how fast
+    the residual falls, not the test it must pass.  The default is
     that of A as a one-level hierarchy, and `refine` passes that of its
     level (module docstring); each holds the count near a dozen iterations
     on the benchmark's shapes.

@@ -116,9 +116,9 @@ def test_every_level_is_preconditioned(monkeypatch, domain, h_start, levels):
         assert precondition is not None
         calls = []
 
-        def counted(r):
+        def counted(r, out):
             calls.append(1)
-            return precondition(r)
+            precondition(r, out)
 
         spectrum = smallest_eigenpairs(matrix, tol=tol, v0=v0, precondition=counted)
         solves.append((matrix, tol, v0, len(calls), spectrum))
