@@ -192,6 +192,7 @@ def _transfer(operator, source: Grid, values: np.ndarray, target: Grid) -> np.nd
             result = np.empty(target.point_count)
         # mode="clip" writes straight into `out`, which "raise" would buffer
         np.take(box.ravel(), flat, out=result[span], mode="clip")
+        del box, flat  # not held under the next slab's boxes
     return result
 
 
