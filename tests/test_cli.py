@@ -84,6 +84,13 @@ class TestLambda1:
         code, _, err = run(capsys, "lambda1", "--domain", "no-such-file.json")
         assert code == 2
 
+    def test_over_cap_lattice_count_is_bounded(self, capsys):
+        # about 4e600 lattice points: named by their digits, not printed
+        code, out, err = run(capsys, "lambda1", "--domain", DISK, "--h-start", "1e-300")
+        assert code == 2 and out == ""
+        assert "level h=1e-300 has over 10^600 lattice points, above the cap 20000000" in err
+        assert len(err) < 200
+
     def test_nonconvergence_exit_code(self, capsys):
         code, _, err = run(
             capsys,

@@ -15,6 +15,7 @@ from specbound import (
     assemble,
     build_grid,
 )
+from specbound import discretize
 from specbound.discretize import _prolong, _restrict
 
 from conftest import (
@@ -34,6 +35,17 @@ TRANSFER_CASES = [
     (Ball([0.0, 0.0, 0.0], 1.0), 0.3),
 ]
 TRANSFER_IDS = ["disk", "l-shape", "ball3-non-dividing"]
+
+# (domain, coarse spacing) for the slab and chunk sizes: the 3-ball's fine
+# window is three slabs at the default size, every other one is one
+SLAB_CASES = [
+    (Box([[0.0, 1.0]] * 3), 1.0 / 16),
+    (Ball([0.0, 0.0, 0.0], 1.0), 1.0 / 16),
+    (Ball([0.0, 0.0], 1.0), 1.0 / 32),
+    (Polygon(L_VERTICES), 1.0 / 32),
+    (Interval(0.0, 1.0), 1.0 / 64),
+]
+SLAB_IDS = ["cube", "ball3", "disk", "l-shape", "interval"]
 
 
 def interval_eigenvalues(n_points, h):
@@ -138,6 +150,22 @@ class TestBuildGrid:
         with pytest.raises(GridError, match="too small"):
             build_grid(unit_interval, 5e-324)
 
+    @pytest.mark.parametrize(
+        "domain, h, count",
+        [
+            (Interval(0.0, 1.0), 2.0**-49, "562949953421313"),
+            (Interval(0.0, 1.0), 2.0**-50, "over 10^15"),
+            (Ball([0.0, 0.0], 1.0), 1e-300, "over 10^600"),
+        ],
+        ids=["exact", "over-1e15", "600-digits"],
+    )
+    def test_over_cap_count_is_printed_bounded(self, domain, h, count):
+        # counts below 10^15 print exactly; past that, by their digits, not
+        # as the 601-digit integer of (2e300 + 1)^2
+        with pytest.raises(GridError) as info:
+            build_grid(domain, h)
+        assert str(info.value) == f"level h={h} has {count} lattice points, above the cap 20000000"
+
     def test_window_over_the_cap_rejected_before_allocating(self):
         # a 278^3 window, 21,484,952 points: a build took 181 MiB before
         # build_grid checked the cap
@@ -198,10 +226,16 @@ class TestAssemble:
             assert matrix.has_canonical_format and matrix.has_sorted_indices
             assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
 
-    @pytest.mark.parametrize("dim, h", [(3, 1.0 / 16), (2, 1.0 / 64)], ids=["ball3", "disk"])
+    @pytest.mark.parametrize(
+        "dim, h", [(3, 1.0 / 16), (2, 1.0 / 64), (3, 1.0 / 32)], ids=["ball3", "disk", "ball3-chunks"]
+    )
     def test_transient_storage_is_bounded(self, dim, h):
-        # a triplet build with a COO-to-CSR conversion on top peaks near 4x
-        # the matrix; writing the CSR arrays directly stays below 2x
+        # the CSR arrays, the int32 index over the window and one chunk: its
+        # (rows, 2*dim+1) int32 table, the table's mask and the entries it
+        # selects, at most 9 bytes a slot.  The 3-ball at 1/32 is five
+        # chunks; an (N, 2*dim+1) table with its mask took 86 bytes a chunk
+        # row there, against 70 allowed, and a triplet build with a
+        # COO-to-CSR conversion peaks near 4x the matrix
         grid = build_grid(Ball([0.0] * dim, 1.0), h)
         tracemalloc.start()
         try:
@@ -210,7 +244,8 @@ class TestAssemble:
         finally:
             tracemalloc.stop()
         stored = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
-        assert peak <= 2 * stored
+        chunk = 10 * (2 * dim + 1) * min(grid.point_count, discretize._CHUNK)
+        assert peak <= stored + 4 * math.prod(grid.shape) + chunk
 
     def test_interval_tridiagonal(self, unit_interval):
         matrix = assemble(build_grid(unit_interval, 0.25))
@@ -370,17 +405,22 @@ class TestProlong:
             (Ball([0.0, 0.0, 0.0], 1.0), 1.0 / 16),
             (Box([[0.0, 1.0]] * 3), 1.0 / 32),
             (Ball([0.0, 0.0], 1.0), 1.0 / 64),
+            (Ball([0.0, 0.0, 0.0], 1.0), 1.0 / 32),
         ],
-        ids=["ball3", "cube", "disk"],
+        ids=["ball3", "cube", "disk", "ball3-slabs"],
     )
     def test_peak_is_bounded_per_target_point(self, domain, h):
-        # the target's box, the box of the pass before it (half a box in
-        # 3-D) and the result: at most 8 bytes per target window point plus
-        # 1.5 fine vectors.  A C-order copy of the last box, as ravel() makes
-        # of a non-contiguous one, and the temporaries of 0.5 * (c[:-1] +
-        # c[1:]) took 5.01, 3.20 and 3.57 fine vectors here, against 3.50,
-        # 2.60 and 2.78 allowed
+        # the result and one slab (`_transfer`): its last box with the box
+        # of the pass before it or with the slab's index into it, at most
+        # 2.25 boxes of at most _SLAB points and a plane, and never more
+        # than the whole-window bound of 8 bytes per fine window point plus
+        # 1.5 fine vectors.  Whole-window boxes took 14.6 slab boxes on the
+        # 3-ball at 1/32 (fine window 129^3), and before that a C-order copy
+        # of the last box, as ravel() makes of a non-contiguous one, took
+        # 5.01, 3.20 and 3.57 fine vectors on the first three cases
         coarse, fine = build_grid(domain, h), build_grid(domain, h, 1)
+        window = math.prod(fine.shape)
+        box = min(window, discretize._SLAB + math.prod(fine.shape[1:]))
         values = np.ones(coarse.point_count)
         _prolong(coarse, values, fine)  # first-call allocations are not the transfer's
         tracemalloc.start()
@@ -389,7 +429,50 @@ class TestProlong:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (math.prod(fine.shape) + 1.5 * fine.point_count)
+        assert peak <= 8 * min(fine.point_count + 2.25 * box, window + 1.5 * fine.point_count)
+
+
+class TestSlabsAndChunks:
+    # the mirror of TestColumnBlocks in test_eigensolve: slabs of one plane
+    # and chunks of a few rows give the bytes of the default sizes
+    @pytest.mark.parametrize("domain, h", SLAB_CASES, ids=SLAB_IDS)
+    def test_one_plane_slabs_give_the_same_bytes(self, domain, h, monkeypatch):
+        coarse, fine = build_grid(domain, h), build_grid(domain, h, 1)
+        rng = np.random.default_rng(7)
+        v, w = rng.standard_normal(coarse.point_count), rng.standard_normal(fine.point_count)
+        whole = _prolong(coarse, v, fine), _restrict(fine, w, coarse)
+        monkeypatch.setattr(discretize, "_SLAB", 1)
+        for default, sliced in zip(whole, (_prolong(coarse, v, fine), _restrict(fine, w, coarse))):
+            assert np.array_equal(default, sliced)
+
+    @pytest.mark.parametrize("chunk", [3, 1000])
+    @pytest.mark.parametrize("domain, h", SLAB_CASES, ids=SLAB_IDS)
+    def test_small_chunks_give_the_same_csr(self, domain, h, chunk, monkeypatch):
+        grid = build_grid(domain, h)
+        default = assemble(grid).matrix
+        monkeypatch.setattr(discretize, "_CHUNK", chunk)
+        chunked = assemble(grid).matrix
+        for name in ("indptr", "indices", "data"):
+            assert getattr(chunked, name).dtype == getattr(default, name).dtype
+            assert np.array_equal(getattr(chunked, name), getattr(default, name))
+
+    def test_a_one_slab_window_is_one_box(self, monkeypatch):
+        # the disk's fine window at 1/128 (257^2 points), the finest 2-D
+        # level of the benchmark, is one slab: both transfers scatter and
+        # gather through interior_flat itself, with no offset index
+        disk = Ball([0.0, 0.0], 1.0)
+        coarse, fine = build_grid(disk, 1.0 / 64), build_grid(disk, 1.0 / 64, 1)
+        real, whole = discretize._slab, []
+
+        def slab(grid, *planes):
+            span, flat = real(grid, *planes)
+            whole.append(flat is grid.interior_flat)
+            return span, flat
+
+        monkeypatch.setattr(discretize, "_slab", slab)
+        _prolong(coarse, np.ones(coarse.point_count), fine)
+        _restrict(fine, np.ones(fine.point_count), coarse)
+        assert whole == [True] * 4
 
 
 class TestWindows:

@@ -138,6 +138,39 @@ class TestSmallestEigenpairs:
             _v_cycle(tuple(levels), zero, out)
             assert np.array_equal(out, zero)
 
+    def test_v_cycle_iterate_lives_in_the_work_buffer(self, unit_disk, monkeypatch):
+        # the preconditioner writes T r into the solver's A T r row, which
+        # is dead until A T r is formed, so the V-cycle's top-level iterate
+        # takes no vector of its own: the disk at 1/16 (793 points) over a
+        # first level of 193 points solved by conjugate gradients
+        levels = []
+        for level in range(2):
+            grid = build_grid(unit_disk, 0.125, level)
+            precondition = _add_level(levels, grid, assemble(grid))
+        buffers, outs, iterates = [], [], []
+        real_lobpcg, real_smooth = eigensolve._lobpcg, eigensolve._smooth
+
+        def lobpcg(a, work, tol, precondition):
+            buffers.append(work)
+            return real_lobpcg(a, work, tol, precondition)
+
+        def smooth(a, b, x, c):
+            if x.shape[0] == grid.point_count:
+                iterates.append(x)
+            real_smooth(a, b, x, c)
+
+        def recorded(r, out):
+            outs.append(out)
+            precondition(r, out)
+
+        monkeypatch.setattr(eigensolve, "_lobpcg", lobpcg)
+        monkeypatch.setattr(eigensolve, "_smooth", smooth)
+        spectrum = smallest_eigenpairs(levels[-1][1], precondition=recorded)
+        assert spectrum.residuals[0] <= 1e-10 * spectrum.eigenvalues[0]
+        assert len(buffers) == 1 and outs and len(iterates) == 3 * len(outs)
+        for array in outs + iterates:
+            assert np.shares_memory(array, buffers[0])
+
     def test_zero_or_nonfinite_start_rejected(self, unit_interval):
         matrix = assemble(build_grid(unit_interval, 0.25))
         for v0 in (np.zeros(3), np.array([1.0, np.nan, 1.0])):
